@@ -1,11 +1,13 @@
-# Tier-1 verification and benchmark recording.
+# Tier-1 verification. The repository benchmark lives in bench/ (see
+# bench/README.md): `bash bench/run.sh` measures one workload and
+# `bash bench/ab.sh BASE HEAD` compares two commits in interleaved pairs.
 
-.PHONY: verify bench test vet lint race profile
+.PHONY: verify test vet lint race bench-test profile
 
-# verify is the tier-1 flow: vet, lint, build, the full test suite, and
-# the race detector over the concurrent sweep harness, the sweep
-# service, and the cell store.
-verify: vet lint test race
+# verify is the tier-1 flow: vet, lint, build, the full test suite, the
+# race detector over the concurrent sweep harness, the report, the sweep
+# service, and the cell store, and the benchmark module's own checks.
+verify: vet lint test race bench-test
 
 vet:
 	go vet ./...
@@ -27,15 +29,14 @@ test:
 	go build ./... && go test ./...
 
 race:
-	go test -race ./internal/sweep/... ./internal/sweepd/... ./internal/cellstore/...
+	go test -race ./internal/sweep/... ./internal/report/... ./internal/sweepd/... ./internal/cellstore/...
 
-# bench records the hot-path benchmarks (end-to-end machine + issue
-# queue, with -benchmem, 5 samples) to $(BENCH_OUT). Override the
-# artifact per PR: `make bench BENCH_OUT=BENCH_PR6.json`. The script
-# refuses to record from a tree that fails `make lint`.
-BENCH_OUT ?= BENCH.json
-bench:
-	scripts/bench.sh $(BENCH_OUT)
+# bench-test runs the benchmark module's tests and the repository's
+# analyzers over it: bench/ is its own Go module, so the root's
+# `go test ./...` and `make lint` do not reach it.
+bench-test: bin/smtlint
+	cd bench && go test ./...
+	cd bench && go vet -vettool=$(abspath bin/smtlint) ./...
 
 # profile runs the Table 1 reference workload under the CPU and
 # allocation profilers and prints the hottest functions — the first stop

@@ -24,7 +24,7 @@ func main() {
 		warmup   = flag.Uint64("warmup", 0, "warmup instructions (0 = half the budget)")
 		seed     = flag.Uint64("seed", 1, "workload seed")
 		parallel = flag.Int("parallel", 0, "max concurrent simulations (0 = GOMAXPROCS)")
-		verbose  = flag.Bool("v", false, "print per-run progress")
+		verbose  = flag.Bool("v", false, "print a line per simulated cell (in process, repeats of a cell the report already simulated are silent)")
 		check    = flag.Bool("check", false, "verify the paper's shape targets and exit non-zero on failure")
 		server   = flag.String("server", "", "resolve cells through a smtsweepd URL instead of simulating in process")
 	)

@@ -45,8 +45,10 @@ func (r *Report) Render() string {
 }
 
 // Generate runs the full evaluation. The section names are stable
-// identifiers the shape checks key on.
+// identifiers the shape checks key on. In process, each distinct cell
+// simulates once per report (see sweep.WithCellMemo).
 func Generate(o sweep.Options) (*Report, error) {
+	o = sweep.WithCellMemo(o)
 	gens := []struct {
 		name string
 		run  func() (sweep.Table, error)

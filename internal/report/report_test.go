@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 
+	"smtsim"
+	"smtsim/internal/cellstore"
 	"smtsim/internal/sweep"
 )
 
@@ -118,4 +120,63 @@ func TestGenerateSmallBudget(t *testing.T) {
 	}
 	// At this tiny budget shapes may not hold; just exercise Check.
 	_ = RenderChecks(r.Check())
+}
+
+// TestGenerateCellAccounting pins the report's cell accounting at the
+// repository benchmark's budget: 2126 cell requests in 29 batches, of
+// which 842 are distinct. In process each distinct cell simulates once;
+// through a Runner every request arrives unchanged. Seeds 1301 and 1302
+// belong to this test alone, because AloneIPCs' memo is process-wide and
+// keyed by seed.
+func TestGenerateCellAccounting(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full report generation")
+	}
+	sims := 0
+	local := sweep.Options{Budget: 2000, Seed: 1301, Progress: func(string) { sims++ }}
+	if _, err := Generate(local); err != nil {
+		t.Fatal(err)
+	}
+	if sims != 842 {
+		t.Errorf("local report simulated %d cells, want 842", sims)
+	}
+
+	// The recording runner resolves repeats by content hash, as sweepd's
+	// store does, so it shares no code with the memo under test.
+	requested, batches := 0, 0
+	byHash := map[string]smtsim.Result{}
+	remote := sweep.Options{Budget: 2000, Seed: 1302, Runner: func(specs []cellstore.Spec) ([]smtsim.Result, error) {
+		requested += len(specs)
+		batches++
+		out := make([]smtsim.Result, len(specs))
+		for i, s := range specs {
+			r, ok := byHash[s.Key()]
+			if !ok {
+				var err error
+				if r, err = sweep.SimulateSpec(s); err != nil {
+					return nil, err
+				}
+				byHash[s.Key()] = r
+			}
+			out[i] = r
+		}
+		return out, nil
+	}}
+	want, err := Generate(remote)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if requested != 2126 || batches != 29 {
+		t.Errorf("runner saw %d specs in %d batches, want 2126 in 29", requested, batches)
+	}
+
+	local.Seed = 1302
+	got, err := Generate(local)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Render() != want.Render() {
+		t.Errorf("in-process report differs from the Runner's:\n--- in process ---\n%s\n--- runner ---\n%s",
+			got.Render(), want.Render())
+	}
 }

@@ -40,7 +40,8 @@ type Options struct {
 	IQSizes []int
 	// Parallelism bounds concurrent simulations (0 = GOMAXPROCS).
 	Parallelism int
-	// Progress, when non-nil, receives a line per completed cell.
+	// Progress, when non-nil, receives a line per simulated cell; memo
+	// hits (see WithCellMemo) print nothing.
 	Progress func(string)
 	// Runner, when non-nil, replaces the in-process cell executor:
 	// every figure and statistic routes its simulation cells through it
@@ -49,6 +50,39 @@ type Options struct {
 	// are identical to the ones the local path simulates, so results
 	// are bit-identical by construction.
 	Runner CellRunner
+
+	memo *cellMemo // see WithCellMemo; unused when Runner is set
+}
+
+// WithCellMemo returns o with a fresh cell memo: figures and statistics
+// computed with the returned Options (and its copies) simulate each
+// distinct cell at most once. Only the in-process executor consults the
+// memo; a Runner sees every request, as the sweep service dedupes itself.
+func WithCellMemo(o Options) Options {
+	o.memo = &cellMemo{results: map[memoKey]smtsim.Result{}}
+	return o
+}
+
+// cellMemo holds the results of the cells simulated so far under one
+// memoized Options. Failed cells are never stored.
+type cellMemo struct {
+	mu      sync.Mutex
+	results map[memoKey]smtsim.Result
+}
+
+// memoKey is the comparable image of a canonical cellstore.Spec, the
+// benchmark list joined by a byte no benchmark name contains. It avoids
+// Spec.Key's JSON and sha256 per lookup; TestMemoKeyCoversSpec fails if
+// Spec gains a field the key does not carry.
+type memoKey struct {
+	benchmarks, scheduler, fetchGate string
+	iqSize, memoryLatency            int
+	budget, warmup, seed             uint64
+}
+
+func memoKeyOf(s cellstore.Spec) memoKey {
+	return memoKey{strings.Join(s.Benchmarks, "\x00"), s.Scheduler, s.FetchGate,
+		s.IQSize, s.MemoryLatency, s.Budget, s.Warmup, s.Seed}
 }
 
 // CellRunner executes a batch of simulation cells and returns their
@@ -121,11 +155,8 @@ func SimulateSpec(s cellstore.Spec) (smtsim.Result, error) {
 	return smtsim.Run(cfg)
 }
 
-// runCells executes the cells concurrently and returns results in cell
-// order, delegating to Options.Runner when one is installed. The
-// Progress callback is serialized (callers pass closures that write to
-// shared state) and skipped for failed cells, whose results are not
-// meaningful.
+// runCells executes the cells and returns results in cell order: through
+// Options.Runner when one is installed, else in process (via the memo, if any).
 func runCells(cells []cell, o Options) ([]smtsim.Result, error) {
 	specs := make([]cellstore.Spec, len(cells))
 	for i := range cells {
@@ -141,6 +172,52 @@ func runCells(cells []cell, o Options) ([]smtsim.Result, error) {
 		}
 		return results, nil
 	}
+	if o.memo != nil {
+		return o.memo.run(cells, specs, o)
+	}
+	return simulateCells(cells, specs, o)
+}
+
+// run looks every cell up, simulates each distinct miss once, stores the
+// fresh results and returns all results in cell order.
+func (m *cellMemo) run(cells []cell, specs []cellstore.Spec, o Options) ([]smtsim.Result, error) {
+	keys := make([]memoKey, len(specs))
+	pending := map[memoKey]bool{}
+	var missKeys []memoKey
+	var missCells []cell
+	var missSpecs []cellstore.Spec
+	m.mu.Lock()
+	for i, s := range specs {
+		keys[i] = memoKeyOf(s)
+		if _, done := m.results[keys[i]]; !done && !pending[keys[i]] {
+			pending[keys[i]] = true
+			missKeys = append(missKeys, keys[i])
+			missCells = append(missCells, cells[i])
+			missSpecs = append(missSpecs, s)
+		}
+	}
+	m.mu.Unlock()
+	fresh, err := simulateCells(missCells, missSpecs, o)
+	if err != nil {
+		return nil, err
+	}
+	results := make([]smtsim.Result, len(specs))
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for j, k := range missKeys {
+		m.results[k] = fresh[j]
+	}
+	for i, k := range keys {
+		results[i] = m.results[k]
+	}
+	return results, nil
+}
+
+// simulateCells runs the cells concurrently in process and returns
+// results in cell order. The Progress callback is serialized (callers
+// pass closures that write to shared state) and skipped for failed
+// cells, whose results are not meaningful.
+func simulateCells(cells []cell, specs []cellstore.Spec, o Options) ([]smtsim.Result, error) {
 	results := make([]smtsim.Result, len(cells))
 	errs := make([]error, len(cells))
 	var wg sync.WaitGroup

@@ -125,13 +125,18 @@ func TestTableRender(t *testing.T) {
 }
 
 func TestRunCellsPropagatesErrors(t *testing.T) {
-	cells := []cell{{
-		mix:   mixOf("bogus-benchmark"),
-		sched: smtsim.Traditional,
-		iq:    64,
-	}}
-	if _, err := runCells(cells, Options{Budget: 1000}); err == nil {
-		t.Error("unknown benchmark did not fail the sweep")
+	cells := []cell{
+		{mix: mixOf("gzip"), sched: smtsim.Traditional, iq: 64},
+		{mix: mixOf("bogus-benchmark"), sched: smtsim.Traditional, iq: 64},
+	}
+	memo := WithCellMemo(Options{Budget: 1000})
+	for _, o := range []Options{{Budget: 1000}, memo} {
+		if _, err := runCells(cells, o); err == nil {
+			t.Error("unknown benchmark did not fail the sweep")
+		}
+	}
+	if n := len(memo.memo.results); n != 0 {
+		t.Errorf("a failed batch left %d results in the memo", n)
 	}
 }
 

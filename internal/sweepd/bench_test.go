@@ -3,7 +3,7 @@ package sweepd
 // Store hit-rate benchmarks: the cold path (every cell simulates and
 // persists) against the warm path (every cell answered from the store).
 // The gap between the two is the entire value proposition of
-// sweep-as-a-service; bench.sh records both so it stays measured.
+// sweep-as-a-service; CI's bench-smoke job runs both so they keep working.
 
 import (
 	"net/http/httptest"
