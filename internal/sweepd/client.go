@@ -1,10 +1,12 @@
 package sweepd
 
 import (
-	"bufio"
 	"bytes"
+	"encoding/gob"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
 
@@ -47,7 +49,11 @@ func (c *Client) RunCells(specs []cellstore.Spec) ([]smtsim.Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sweepd client: %w", err)
 	}
-	var sub submitResponse
+	// Only the id: the response's per-cell hashes would be decoded
+	// just to be dropped.
+	var sub struct {
+		ID string `json:"id"`
+	}
 	if err := decodeJSON(resp, &sub); err != nil {
 		return nil, err
 	}
@@ -60,20 +66,24 @@ func (c *Client) RunCells(specs []cellstore.Spec) ([]smtsim.Result, error) {
 	if stream.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("sweepd client: stream: %s", stream.Status)
 	}
+	if ct := stream.Header.Get("Content-Type"); ct != gobType {
+		return nil, fmt.Errorf("sweepd client: stream Content-Type %q, want %q: the server speaks another version of the sweepd protocol", ct, gobType)
+	}
 
 	results := make([]smtsim.Result, len(specs))
 	seen := make([]bool, len(specs))
 	landed := 0
 	done := false
-	sc := bufio.NewScanner(stream.Body)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
-	for sc.Scan() {
-		var line struct {
-			cellLine
-			Done bool `json:"done"`
-		}
-		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
-			return nil, fmt.Errorf("sweepd client: bad stream line %q: %w", sc.Text(), err)
+	// The bound allows 1 MiB per cell plus the terminal message.
+	dec := gob.NewDecoder(io.LimitReader(stream.Body, int64(len(specs)+1)<<20))
+	for {
+		// A fresh value per message: gob leaves the fields a message
+		// omits (its zero values) untouched in the destination.
+		var line cellLine
+		if err := dec.Decode(&line); errors.Is(err, io.EOF) {
+			break
+		} else if err != nil {
+			return nil, fmt.Errorf("sweepd client: reading stream: %w", err)
 		}
 		if line.Done {
 			done = true
@@ -96,9 +106,6 @@ func (c *Client) RunCells(specs []cellstore.Spec) ([]smtsim.Result, error) {
 				c.Progress(fmt.Sprintf("cell %d/%d (%.8s): IPC=%.3f", landed, len(specs), line.Hash, line.Result.IPC))
 			}
 		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("sweepd client: reading stream: %w", err)
 	}
 	if !done || landed != len(specs) {
 		return nil, fmt.Errorf("sweepd client: stream ended with %d/%d cells (done=%v)", landed, len(specs), done)

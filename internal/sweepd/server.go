@@ -6,16 +6,24 @@
 // how many worker processes share the store (leases with expiry, so a
 // killed worker's cells are re-claimed).
 //
-// API:
+// API (requests and every response but the stream are JSON):
 //
 //	POST /v1/sweep              submit a cell set, returns a sweep id
 //	GET  /v1/sweeps/{id}        sweep status + results so far
-//	GET  /v1/sweeps/{id}/stream NDJSON: one line per cell as it lands
+//	GET  /v1/sweeps/{id}/stream gob: one cellLine per cell as it lands
 //	GET  /v1/cells/{hash}       one cell's cached result
 //	GET  /v1/stats              hit/miss/inflight/simulation counters
+//
+// The stream is a single encoding/gob stream of cellLine values,
+// Content-Type application/x-gob, ending with a cellLine whose Done is
+// set. Only Client decodes it, and only from a server it chose to
+// call: gob is not hardened against adversarial input, so the server
+// itself never decodes gob. The server keeps the newest
+// retainedSweeps finished sweeps; an older id answers 404.
 package sweepd
 
 import (
+	"encoding/gob"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -103,6 +111,16 @@ type waiter struct {
 	idx int
 }
 
+// retainedSweeps bounds how many finished sweeps the server keeps
+// answering for. Unfinished sweeps are never evicted.
+const retainedSweeps = 64
+
+// maxSubmitBytes bounds a POST /v1/sweep body.
+const maxSubmitBytes = 64 << 20
+
+// gobType is the stream's Content-Type.
+const gobType = "application/x-gob"
+
 // sweepRun tracks one submitted cell set. id, hashes and specs are
 // immutable once the run is published in Server.sweeps; the mutable
 // completion state below mu is its own lock domain (workers complete
@@ -121,6 +139,10 @@ type sweepRun struct {
 	landed []int
 	//smt:guarded-by(mu)
 	remaining int
+	// landedCh is closed, and replaced, whenever a cell lands: streams
+	// wait on it instead of polling.
+	//smt:close-owner(sweepRun.complete)
+	landedCh chan struct{} //smt:guarded-by(mu)
 }
 
 // complete records one cell's outcome; idx may land only once.
@@ -134,6 +156,15 @@ func (r *sweepRun) complete(idx int, out outcome) {
 	r.outcomes[idx] = &o
 	r.landed = append(r.landed, idx)
 	r.remaining--
+	close(r.landedCh)
+	r.landedCh = make(chan struct{})
+}
+
+// finished reports whether every cell has landed.
+func (r *sweepRun) finished() bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.remaining == 0
 }
 
 // Stats is the /v1/stats payload.
@@ -175,6 +206,9 @@ type Server struct {
 	flights map[string]*flight
 	//smt:guarded-by(mu)
 	sweeps map[string]*sweepRun
+	// order holds the runs in sweeps, oldest first.
+	//smt:guarded-by(mu)
+	order []*sweepRun
 	//smt:guarded-by(mu)
 	nextSweep int
 	//smt:guarded-by(mu)
@@ -371,7 +405,7 @@ type submitResponse struct {
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 64<<20))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "reading body: %v", err)
 		return
@@ -405,12 +439,15 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		hashes:    hashes,
 		outcomes:  make([]*outcome, len(req.Cells)),
 		remaining: len(req.Cells),
+		landedCh:  make(chan struct{}),
 	}
 
 	s.mu.Lock()
+	s.evictLocked()
 	s.nextSweep++
 	run.id = fmt.Sprintf("s%d", s.nextSweep)
 	s.sweeps[run.id] = run
+	s.order = append(s.order, run)
 	s.stats.Sweeps++
 	s.mu.Unlock()
 
@@ -436,12 +473,41 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// cellLine is one streamed or collected cell outcome.
+// evictLocked drops the oldest finished sweeps so that, counting the
+// one about to be submitted, at most retainedSweeps finished sweeps
+// stay. A stream already serving an evicted sweep holds its run and
+// completes; later lookups of the id answer 404.
+//
+//smt:locked(mu)
+func (s *Server) evictLocked() {
+	excess := 1 - retainedSweeps
+	for _, run := range s.order {
+		if run.finished() {
+			excess++
+		}
+	}
+	kept := s.order[:0]
+	for _, run := range s.order {
+		if excess > 0 && run.finished() {
+			delete(s.sweeps, run.id)
+			excess--
+			continue
+		}
+		kept = append(kept, run)
+	}
+	clear(s.order[len(kept):])
+	s.order = kept
+}
+
+// cellLine is one streamed or collected cell outcome. Done and Total
+// are set only on the stream's terminal message.
 type cellLine struct {
 	Index  int            `json:"index"`
 	Hash   string         `json:"hash"`
 	Result *smtsim.Result `json:"result,omitempty"`
 	Error  string         `json:"error,omitempty"`
+	Done   bool           `json:"done,omitempty"`
+	Total  int            `json:"total,omitempty"`
 }
 
 func lineFor(idx int, hash string, o *outcome) cellLine {
@@ -449,8 +515,7 @@ func lineFor(idx int, hash string, o *outcome) cellLine {
 	if o.Err != "" {
 		l.Error = o.Err
 	} else {
-		res := o.Result
-		l.Result = &res
+		l.Result = &o.Result // a landed outcome is never written again
 	}
 	return l
 }
@@ -491,18 +556,19 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, st)
 }
 
-// handleStream writes NDJSON: one line per cell in completion order as
-// cells land, then a terminal {"done":true} line. Partial aggregation
-// is the point — a figure renderer can draw cells as they arrive.
+// handleStream writes one gob stream: a cellLine per cell in
+// completion order as cells land, then a terminal cellLine with Done
+// set. Partial aggregation is the point — a figure renderer can draw
+// cells as they arrive.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	run := s.lookupSweep(r.PathValue("id"))
 	if run == nil {
 		httpError(w, http.StatusNotFound, "unknown sweep %q", r.PathValue("id"))
 		return
 	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.Header().Set("Content-Type", gobType)
 	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
+	enc := gob.NewEncoder(w)
 	sent := 0
 	for {
 		run.mu.Lock()
@@ -512,30 +578,28 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 			lines[i] = lineFor(idx, run.hashes[idx], run.outcomes[idx])
 		}
 		complete := run.remaining == 0
+		landed := run.landedCh
 		run.mu.Unlock()
 		sent += len(lines)
-		for _, l := range lines {
-			if err := enc.Encode(l); err != nil {
+		for i := range lines {
+			if err := enc.Encode(&lines[i]); err != nil {
 				return
 			}
 		}
-		if len(lines) > 0 && flusher != nil {
+		if complete {
+			// Every cell had landed at the snapshot, so all are sent.
+			enc.Encode(cellLine{Done: true, Total: len(run.hashes)})
+		}
+		if flusher != nil {
 			flusher.Flush()
 		}
-		if complete && sent == len(run.hashes) {
-			enc.Encode(struct {
-				Done  bool `json:"done"`
-				Total int  `json:"total"`
-			}{true, len(run.hashes)})
-			if flusher != nil {
-				flusher.Flush()
-			}
+		if complete {
 			return
 		}
 		select {
 		case <-r.Context().Done():
 			return
-		case <-time.After(10 * time.Millisecond):
+		case <-landed:
 		}
 	}
 }

@@ -1,9 +1,8 @@
 package sweepd
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/binary"
+	"encoding/gob"
 	"encoding/hex"
 	"encoding/json"
 	"math/rand"
@@ -55,7 +54,7 @@ func testSpecs(n int) []cellstore.Spec {
 
 // newTestServer spins up a server over a fresh store and an httptest
 // front end. mutate tweaks the config before start.
-func newTestServer(t *testing.T, mutate func(*Config)) (*Server, *Client, *cellstore.Store) {
+func newTestServer(t testing.TB, mutate func(*Config)) (*Server, *Client, *cellstore.Store) {
 	t.Helper()
 	store, err := cellstore.Open(t.TempDir())
 	if err != nil {
@@ -130,7 +129,7 @@ func TestSweepEndToEnd(t *testing.T) {
 	}
 }
 
-// TestStreamMatchesFinal asserts the streaming NDJSON aggregation and
+// TestStreamMatchesFinal asserts the streamed gob aggregation and
 // the final sweep GET describe exactly the same outcomes — partial
 // rendering can never drift from the completed figure.
 func TestStreamMatchesFinal(t *testing.T) {
@@ -141,46 +140,38 @@ func TestStreamMatchesFinal(t *testing.T) {
 		}
 	})
 	specs := testSpecs(12)
-	body, _ := json.Marshal(submitRequest{Cells: specs})
-	resp, err := http.Post(client.url("/v1/sweep"), "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sub submitResponse
-	if err := decodeJSON(resp, &sub); err != nil {
-		t.Fatal(err)
-	}
+	id := submitSweep(t, client, specs)
 
 	// Stream until done, collecting per-index lines.
 	streamed := make(map[int]cellLine)
-	stream, err := http.Get(client.url("/v1/sweeps/" + sub.ID + "/stream"))
+	stream, err := http.Get(client.url("/v1/sweeps/" + id + "/stream"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer stream.Body.Close()
-	sc := bufio.NewScanner(stream.Body)
-	for sc.Scan() {
-		var line struct {
-			cellLine
-			Done bool `json:"done"`
-		}
-		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
-			t.Fatalf("bad stream line %q: %v", sc.Text(), err)
+	if ct := stream.Header.Get("Content-Type"); ct != gobType {
+		t.Fatalf("stream Content-Type %q, want %q", ct, gobType)
+	}
+	dec := gob.NewDecoder(stream.Body)
+	for {
+		var line cellLine
+		if err := dec.Decode(&line); err != nil {
+			t.Fatalf("stream ended without a done message: %v", err)
 		}
 		if line.Done {
+			if line.Total != len(specs) {
+				t.Errorf("done message total %d, want %d", line.Total, len(specs))
+			}
 			break
 		}
 		if _, dup := streamed[line.Index]; dup {
 			t.Errorf("index %d streamed twice", line.Index)
 		}
-		streamed[line.Index] = line.cellLine
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
+		streamed[line.Index] = line
 	}
 
 	// Final status must agree cell by cell.
-	resp, err = http.Get(client.url("/v1/sweeps/" + sub.ID))
+	resp, err := http.Get(client.url("/v1/sweeps/" + id))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,15 +279,7 @@ func TestCheckpointRestore(t *testing.T) {
 	client := &Client{Base: ts.URL}
 
 	specs := testSpecs(3)
-	body, _ := json.Marshal(submitRequest{Cells: specs})
-	resp, err := http.Post(client.url("/v1/sweep"), "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sub submitResponse
-	if err := decodeJSON(resp, &sub); err != nil {
-		t.Fatal(err)
-	}
+	submitSweep(t, client, specs)
 
 	// Wait for the lone worker to enter cell 1, then shut down while
 	// unblocking it: the worker finishes its cell (the boundary) and
