@@ -1,9 +1,9 @@
 // Command smtsweepd serves sweeps: an HTTP API over a content-addressed
 // on-disk cell store with a pool of simulator workers behind it. Cells
 // already in the store are cache hits; novel cells simulate exactly
-// once each. Several smtsweepd processes may share one -store directory
-// — they coordinate through lease files, and a killed worker's cells
-// are re-claimed when its leases expire.
+// once each. One smtsweepd process owns a -store directory at a time:
+// the store is indexed in memory at startup, and a second process over
+// the same directory would duplicate work rather than share it.
 //
 // Usage:
 //
@@ -36,15 +36,12 @@ func main() {
 		addr     = flag.String("addr", ":8344", "listen address")
 		storeDir = flag.String("store", "cellstore", "cell store directory (created if absent)")
 		workers  = flag.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS)")
-		leaseTTL = flag.Duration("lease-ttl", time.Minute, "worker lease on a cell; expired leases are stolen by other workers")
 		quiet    = flag.Bool("q", false, "suppress per-event logging")
 	)
 	flag.Parse()
 	switch {
 	case *workers < 0:
 		usage("-workers must be non-negative, got %d", *workers)
-	case *leaseTTL <= 0:
-		usage("-lease-ttl must be positive, got %v", *leaseTTL)
 	case flag.NArg() > 0:
 		usage("unexpected arguments: %v", flag.Args())
 	}
@@ -53,7 +50,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("smtsweepd: %v", err)
 	}
-	cfg := sweepd.Config{Store: store, Workers: *workers, LeaseTTL: *leaseTTL}
+	cfg := sweepd.Config{Store: store, Workers: *workers}
 	if !*quiet {
 		cfg.Logf = log.Printf
 	}

@@ -1,15 +1,14 @@
 // Package atomicfs implements the crash-consistency confinement
 // analyzer for the service layer (policy.ServicePackages). The cell
-// store's durability story (DESIGN.md §10) rests on exactly three
-// write idioms — same-directory temp+rename, single O_APPEND record
-// writes, and O_CREATE|O_EXCL lease creation — each packaged in one
-// blessed helper enumerated in policy.AtomicFSAllowed. atomicfs
-// rejects every other call to a raw file-mutating os function
-// (os.WriteFile, os.Create, os.CreateTemp, os.OpenFile, os.Rename,
-// os.Truncate, os.RemoveAll) in the service packages, turning the
-// protocol from a convention into a checked invariant: a naive
-// os.WriteFile over a manifest would reintroduce the torn-read window
-// the helpers exist to close.
+// store's durability story (DESIGN.md §10) rests on exactly two write
+// idioms — same-directory temp+rename and single O_APPEND record
+// writes — each packaged in one blessed helper enumerated in
+// policy.AtomicFSAllowed. atomicfs rejects every other call to a raw
+// file-mutating os function (os.WriteFile, os.Create, os.CreateTemp,
+// os.OpenFile, os.Rename, os.Truncate, os.RemoveAll) in the service
+// packages, turning the protocol from a convention into a checked
+// invariant: a naive os.WriteFile over a manifest would reintroduce the
+// torn-read window the helpers exist to close.
 //
 // os.Remove, os.ReadFile, os.MkdirAll and the read-only os surface are
 // deliberately not checked — deleting a whole file or creating a
@@ -18,7 +17,7 @@
 //
 // There is no line-level escape hatch. A new raw write site is a
 // protocol change; it belongs in policy.AtomicFSAllowed, reviewed,
-// next to the reasoning for the existing three.
+// next to the reasoning for the existing two.
 package atomicfs
 
 import (

@@ -1,5 +1,5 @@
 // Package cellstore is a miniature stand-in exercising atomicfs: the
-// three blessed crash-consistency helpers may touch the raw os write
+// two blessed crash-consistency helpers may touch the raw os write
 // surface; everything else is rejected, and the read-only/whole-file
 // os calls are never checked.
 package cellstore
@@ -39,20 +39,6 @@ func appendShard(path string, line []byte) error {
 		return werr
 	}
 	return cerr
-}
-
-// createLease is blessed.
-func createLease(path string, body []byte) (bool, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
-	if err != nil {
-		return false, nil
-	}
-	_, werr := f.Write(body)
-	cerr := f.Close()
-	if werr != nil {
-		return false, werr
-	}
-	return true, cerr
 }
 
 // Sloppy bypasses the protocol with a raw whole-file write.

@@ -76,9 +76,6 @@ var AtomicFSAllowed = []FuncRef{
 	// appendShard: one O_APPEND write per record; a torn tail is
 	// recovered (truncated) by the next Open.
 	{Pkg: "smtsim/internal/cellstore", Func: "appendShard"},
-	// createLease: O_CREATE|O_EXCL fast path of the lease protocol;
-	// steals go through AtomicWrite.
-	{Pkg: "smtsim/internal/cellstore", Func: "createLease"},
 }
 
 // IsAtomicFSAllowed reports whether pkg.fnKey is a blessed helper.

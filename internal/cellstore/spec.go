@@ -4,9 +4,9 @@
 // figure and report requests become cache hits instead of simulations.
 //
 // The store is deliberately boring: JSON-lines shard files (one per
-// hash prefix), a manifest written by atomic rename, torn-tail recovery
-// on open, and lease files with expiry so a fleet of worker processes
-// can drain one sweep without double-simulating or orphaning cells.
+// hash prefix), a manifest written by atomic rename, and repair of torn
+// tails and corrupt records on open. One process writes a store at a
+// time; after Open its in-memory index answers every lookup.
 package cellstore
 
 import (
@@ -107,7 +107,7 @@ func (s Spec) Config() (smtsim.Config, error) {
 
 // Key returns the cell's content hash: the hex SHA-256 of a versioned
 // preimage over the canonicalized spec's JSON encoding. The hash is the
-// cell's identity everywhere — store shards, lease files, HTTP routes.
+// cell's identity everywhere — store shards, HTTP routes.
 func (s Spec) Key() string {
 	b, err := json.Marshal(s.Canonical())
 	if err != nil {

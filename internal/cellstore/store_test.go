@@ -5,7 +5,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"smtsim"
 )
@@ -90,28 +89,6 @@ func TestStoreRoundTrip(t *testing.T) {
 	}
 }
 
-func TestStoreCrossProcessVisibility(t *testing.T) {
-	// Two Stores over one directory model two worker processes: a put
-	// through one must be visible to a Get on the other without reopen.
-	dir := t.TempDir()
-	a, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := testSpec("twolf", 32)
-	hash, err := a.Put(spec, testResult(0.9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok, err := b.Get(hash); err != nil || !ok {
-		t.Fatalf("cross-store Get: ok=%v err=%v", ok, err)
-	}
-}
-
 func TestTornTailRecovery(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
@@ -182,52 +159,6 @@ func TestManifestSchemaMismatch(t *testing.T) {
 	}
 }
 
-func TestLeaseLifecycle(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	now := time.Unix(1000, 0)
-	s.Now = func() time.Time { return now }
-	hash := testSpec("equake", 64).Key()
-
-	if ok, err := s.TryLease(hash, "w1", time.Second); err != nil || !ok {
-		t.Fatalf("fresh lease: ok=%v err=%v", ok, err)
-	}
-	// A live lease repels other owners but renews for its holder.
-	if ok, _ := s.TryLease(hash, "w2", time.Second); ok {
-		t.Error("live lease stolen by w2")
-	}
-	if ok, _ := s.TryLease(hash, "w1", time.Second); !ok {
-		t.Error("holder could not renew")
-	}
-	// Expiry opens the lease to stealing.
-	now = now.Add(2 * time.Second)
-	if ok, err := s.TryLease(hash, "w2", time.Second); err != nil || !ok {
-		t.Fatalf("expired lease not stolen: ok=%v err=%v", ok, err)
-	}
-	if got := s.StatsSnapshot().LeasesStolen; got != 1 {
-		t.Errorf("LeasesStolen = %d, want 1", got)
-	}
-	if owner, _, ok := s.LeaseHolder(hash); !ok || owner != "w2" {
-		t.Errorf("holder = %q, %v", owner, ok)
-	}
-	// Release is owner-checked.
-	if err := s.Release(hash, "w1"); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, ok := s.LeaseHolder(hash); !ok {
-		t.Error("foreign release dropped the lease")
-	}
-	if err := s.Release(hash, "w2"); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, ok := s.LeaseHolder(hash); ok {
-		t.Error("lease survives owner release")
-	}
-}
-
 func TestPutIdempotent(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
@@ -266,6 +197,150 @@ func TestSpecValidate(t *testing.T) {
 		mutate(&s)
 		if err := s.Validate(); err == nil {
 			t.Errorf("%s: invalid spec accepted", name)
+		}
+	}
+}
+
+// sameShardSpecs returns n specs whose hashes share a shard, so one
+// shard file holds several records in a known order.
+func sameShardSpecs(t testing.TB, n int) []Spec {
+	t.Helper()
+	byShard := make(map[string][]Spec)
+	for seed := uint64(0); seed < 4096; seed++ {
+		sp := testSpec("equake", 64)
+		sp.Seed = seed
+		k := sp.Key()[:prefixLen]
+		byShard[k] = append(byShard[k], sp)
+		if len(byShard[k]) == n {
+			return byShard[k]
+		}
+	}
+	t.Fatalf("no %d specs share a shard", n)
+	return nil
+}
+
+// populate puts every spec into a fresh store at dir and returns the
+// shard file they share.
+func populate(t *testing.T, dir string, specs []Spec) string {
+	t.Helper()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, sp := range specs {
+		if _, err := s.Put(sp, testResult(float64(i+1))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	path, _ := s.shardPath(specs[0].Key())
+	return path
+}
+
+// TestInteriorCorruptionRecovered damages the first record of a
+// three-record shard. Only that record may be lost: the records after
+// it are served, the loss is counted as corruption rather than a torn
+// tail, and the repaired shard reopens clean.
+func TestInteriorCorruptionRecovered(t *testing.T) {
+	dir := t.TempDir()
+	specs := sameShardSpecs(t, 3)
+	shard := populate(t, dir, specs)
+	b, err := os.ReadFile(shard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b[0] ^= 1 // '{' -> 'z': the first line no longer parses
+	if err := os.WriteFile(shard, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := s.StatsSnapshot(); st.Corrupt != 1 || st.TornTails != 0 {
+		t.Errorf("Corrupt = %d, TornTails = %d, want 1 and 0", st.Corrupt, st.TornTails)
+	}
+	if _, ok, _ := s.Get(specs[0].Key()); ok {
+		t.Error("corrupt record served")
+	}
+	for i, sp := range specs[1:] {
+		got, ok, err := s.Get(sp.Key())
+		if err != nil || !ok {
+			t.Fatalf("record %d after the corrupt line lost: ok=%v err=%v", i+1, ok, err)
+		}
+		if got.IPC != float64(i+2) {
+			t.Errorf("record %d: IPC %v, want %v", i+1, got.IPC, float64(i+2))
+		}
+	}
+
+	again, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := again.StatsSnapshot(); st.Corrupt != 0 || again.Len() != 2 {
+		t.Errorf("repaired shard reopens with Corrupt = %d and %d cells, want 0 and 2", st.Corrupt, again.Len())
+	}
+}
+
+// TestFlippedHashRejected damages one hex digit of a stored hash. The
+// record must not be served under either key.
+func TestFlippedHashRejected(t *testing.T) {
+	dir := t.TempDir()
+	specs := sameShardSpecs(t, 3)
+	shard := populate(t, dir, specs)
+	b, err := os.ReadFile(shard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim := specs[1].Key()
+	flipped := victim[:10] + string(victim[10]^1) + victim[11:]
+	b = []byte(strings.Replace(string(b), `"hash":"`+victim, `"hash":"`+flipped, 1))
+	if err := os.WriteFile(shard, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, h := range []string{victim, flipped} {
+		if _, ok, _ := s.Get(h); ok {
+			t.Errorf("record with a damaged hash served under %.12s", h)
+		}
+	}
+	for _, sp := range []Spec{specs[0], specs[2]} {
+		if _, ok, _ := s.Get(sp.Key()); !ok {
+			t.Errorf("intact record %.8s lost", sp.Key())
+		}
+	}
+	if got := s.StatsSnapshot().Corrupt; got != 1 {
+		t.Errorf("Corrupt = %d, want 1", got)
+	}
+}
+
+// TestStaleLeasesIgnored opens a store that still carries the leases
+// directory from an older build: the lease files mean nothing now, and
+// every stored cell is served.
+func TestStaleLeasesIgnored(t *testing.T) {
+	dir := t.TempDir()
+	specs := []Spec{testSpec("equake", 64), testSpec("twolf", 32), testSpec("gcc", 16)}
+	populate(t, dir, specs)
+	leases := filepath.Join(dir, "leases")
+	if err := os.MkdirAll(leases, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	body := `{"owner":"sweepd-1","expires_unix_nano":9223372036854775807}` + "\n"
+	if err := os.WriteFile(filepath.Join(leases, "x.lease"), []byte(body), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sp := range specs {
+		if _, ok, err := s.Get(sp.Key()); err != nil || !ok {
+			t.Errorf("cell %.8s not served beside a stale lease: ok=%v err=%v", sp.Key(), ok, err)
 		}
 	}
 }

@@ -10,22 +10,19 @@ import (
 	"os"
 	"syscall"
 	"testing"
-	"time"
 
 	"smtsim/internal/cellstore"
 )
 
 // benchServer builds a server+listener pair. The caller owns teardown:
 // a benchmark that leaks servers until the run ends would have every
-// earlier iteration's polling workers perturbing later samples.
+// earlier iteration's workers and listener lingering into later samples.
 func benchServer(b *testing.B, store *cellstore.Store) (*Server, *httptest.Server, *Client) {
 	b.Helper()
 	srv, err := New(Config{
-		Store:        store,
-		Workers:      4,
-		LeaseTTL:     time.Minute,
-		PollInterval: time.Millisecond,
-		Simulate:     fakeSimulate,
+		Store:    store,
+		Workers:  4,
+		Simulate: fakeSimulate,
 	})
 	if err != nil {
 		b.Fatal(err)

@@ -1,19 +1,16 @@
 package sweepd
 
-// Crash and resume tests: the failure modes the lease/shard protocol
-// exists for. A worker process dying mid-cell must cost at most one
+// Crash and resume tests: the failure modes the shard protocol exists
+// for. A worker process dying mid-cell must cost at most one
 // re-simulation, never a wrong or missing result, and the recovered
 // sweep must be byte-identical to an uninterrupted one.
 
 import (
 	"encoding/json"
-	"fmt"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"smtsim"
 	"smtsim/internal/cellstore"
@@ -30,180 +27,6 @@ func aggregateJSON(t *testing.T, res []smtsim.Result) string {
 	return string(b)
 }
 
-// TestOrphanedLeaseStolen simulates a worker that died holding a
-// lease: the lease file is on disk, its owner will never release it.
-// A server sharing the store must wait out the TTL, steal the cell,
-// and produce the same aggregate an uninterrupted run would have.
-func TestOrphanedLeaseStolen(t *testing.T) {
-	specs := testSpecs(4)
-	victim := specs[2]
-
-	// The uninterrupted run, for the byte-identity check.
-	var want []smtsim.Result
-	for _, s := range specs {
-		r, err := fakeSimulate(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want = append(want, r)
-	}
-
-	dir := t.TempDir()
-	dead, err := cellstore.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ok, err := dead.TryLease(victim.Key(), "dead-worker", 60*time.Millisecond)
-	if err != nil || !ok {
-		t.Fatalf("pre-leasing as dead worker: ok=%v err=%v", ok, err)
-	}
-
-	store, err := cellstore.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := New(Config{
-		Store:        store,
-		Workers:      2,
-		LeaseTTL:     time.Minute,
-		PollInterval: 5 * time.Millisecond,
-		Simulate:     fakeSimulate,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Shutdown()
-	client := newClientFor(t, srv)
-
-	got, err := client.RunCells(specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g, w := aggregateJSON(t, got), aggregateJSON(t, want); g != w {
-		t.Errorf("recovered aggregate differs from uninterrupted run:\n got %s\nwant %s", g, w)
-	}
-	if st := store.StatsSnapshot(); st.LeasesStolen < 1 {
-		t.Errorf("LeasesStolen = %d, want >= 1", st.LeasesStolen)
-	}
-	if owner, _, held := store.LeaseHolder(victim.Key()); held {
-		t.Errorf("victim cell still leased by %s after completion", owner)
-	}
-}
-
-// TestSIGKILLedWorkerRecovered re-executes the test binary as a helper
-// process that opens the store, leases a cell, and then hangs — and
-// kills it with SIGKILL, the signal that allows no cleanup. The lease
-// file it leaves behind is indistinguishable from any crashed worker's;
-// the server must steal it after expiry and finish the sweep.
-func TestSIGKILLedWorkerRecovered(t *testing.T) {
-	if testing.Short() {
-		t.Skip("re-executes the test binary")
-	}
-	specs := testSpecs(3)
-	victim := specs[1]
-	dir := t.TempDir()
-
-	// The helper must create the store layout before the parent opens
-	// it, so run it from a fresh dir and wait for its LEASED marker.
-	cmd := exec.Command(os.Args[0], "-test.run=TestHelperLeaseAndHang")
-	cmd.Env = append(os.Environ(),
-		"SWEEPD_LEASE_HELPER=1",
-		"SWEEPD_HELPER_STORE="+dir,
-		"SWEEPD_HELPER_HASH="+victim.Key(),
-	)
-	out, err := cmd.StdoutPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer cmd.Process.Kill()
-
-	// Wait for the helper to report its lease, then SIGKILL it.
-	marker := make([]byte, 7)
-	deadline := time.Now().Add(10 * time.Second)
-	read := 0
-	for read < len(marker) {
-		if time.Now().After(deadline) {
-			t.Fatal("helper never reported LEASED")
-		}
-		n, err := out.Read(marker[read:])
-		read += n
-		if err != nil {
-			break
-		}
-	}
-	if string(marker) != "LEASED\n" {
-		t.Fatalf("helper said %q, want LEASED", marker)
-	}
-	if err := cmd.Process.Kill(); err != nil { // SIGKILL: no deferred cleanup runs
-		t.Fatal(err)
-	}
-	cmd.Wait()
-
-	// The orphan lease is on disk. A server over the same store must
-	// wait out the short TTL the helper used, steal, and complete.
-	store, err := cellstore.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if owner, _, held := store.LeaseHolder(victim.Key()); !held || owner != "doomed-helper" {
-		t.Fatalf("expected doomed-helper's orphan lease, got owner=%q held=%v", owner, held)
-	}
-	srv, err := New(Config{
-		Store:        store,
-		Workers:      2,
-		LeaseTTL:     time.Minute,
-		PollInterval: 5 * time.Millisecond,
-		Simulate:     fakeSimulate,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Shutdown()
-	client := newClientFor(t, srv)
-
-	got, err := client.RunCells(specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want []smtsim.Result
-	for _, s := range specs {
-		r, _ := fakeSimulate(s)
-		want = append(want, r)
-	}
-	if g, w := aggregateJSON(t, got), aggregateJSON(t, want); g != w {
-		t.Errorf("post-SIGKILL aggregate differs:\n got %s\nwant %s", g, w)
-	}
-	if st := store.StatsSnapshot(); st.LeasesStolen < 1 {
-		t.Errorf("LeasesStolen = %d, want >= 1", st.LeasesStolen)
-	}
-}
-
-// TestHelperLeaseAndHang is not a test: it is the body of the victim
-// process for TestSIGKILLedWorkerRecovered, gated on an env var so a
-// normal `go test` run skips it.
-func TestHelperLeaseAndHang(t *testing.T) {
-	if os.Getenv("SWEEPD_LEASE_HELPER") == "" {
-		t.Skip("helper body; only meaningful re-executed by TestSIGKILLedWorkerRecovered")
-	}
-	store, err := cellstore.Open(os.Getenv("SWEEPD_HELPER_STORE"))
-	if err != nil {
-		fmt.Println("OPEN-FAILED:", err)
-		os.Exit(1)
-	}
-	// A short TTL keeps the parent's steal wait fast; the lease is
-	// "orphaned" the instant the parent kills us.
-	ok, err := store.TryLease(os.Getenv("SWEEPD_HELPER_HASH"), "doomed-helper", 50*time.Millisecond)
-	if err != nil || !ok {
-		fmt.Println("LEASE-FAILED:", ok, err)
-		os.Exit(1)
-	}
-	fmt.Println("LEASED")
-	time.Sleep(time.Minute) // SIGKILL arrives long before this returns
-}
-
 // TestTornShardResimulated crashes a writer mid-append (simulated by
 // truncating a shard record and appending garbage), reopens the store,
 // and asserts the damaged cell re-simulates while intact cells still
@@ -217,7 +40,7 @@ func TestTornShardResimulated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv1, err := New(Config{Store: store1, Workers: 2, PollInterval: 5 * time.Millisecond, Simulate: fakeSimulate})
+	srv1, err := New(Config{Store: store1, Workers: 2, Simulate: fakeSimulate})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +76,7 @@ func TestTornShardResimulated(t *testing.T) {
 	missing := len(specs) - store2.Len()
 
 	var sims atomic.Int64
-	srv2, err := New(Config{Store: store2, Workers: 2, PollInterval: 5 * time.Millisecond,
+	srv2, err := New(Config{Store: store2, Workers: 2,
 		Simulate: func(s cellstore.Spec) (smtsim.Result, error) {
 			sims.Add(1)
 			return fakeSimulate(s)

@@ -11,7 +11,6 @@ package sweepd
 
 import (
 	"testing"
-	"time"
 
 	"smtsim/internal/cellstore"
 	"smtsim/internal/sweep"
@@ -22,7 +21,6 @@ func newRealServer(t *testing.T) (*Server, *Client, *cellstore.Store) {
 	t.Helper()
 	return newTestServer(t, func(c *Config) {
 		c.Simulate = nil // New substitutes sweep.SimulateSpec
-		c.LeaseTTL = time.Minute
 	})
 }
 

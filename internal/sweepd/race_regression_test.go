@@ -106,7 +106,6 @@ func TestDuplicateSubmitChurnNoRace(t *testing.T) {
 	var calls atomic.Int64
 	_, client, _ := newTestServer(t, func(cfg *Config) {
 		cfg.Workers = 4
-		cfg.PollInterval = time.Millisecond
 		sim := cfg.Simulate
 		cfg.Simulate = func(s cellstore.Spec) (smtsim.Result, error) {
 			// Every third simulation fails, so flights churn through the

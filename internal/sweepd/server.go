@@ -2,9 +2,8 @@
 // content-addressed cell store (internal/cellstore) with a work queue
 // of simulator workers behind it. Repeated figure and report requests
 // are cache hits; only novel cells simulate, exactly once each, no
-// matter how many clients ask for them concurrently (singleflight) or
-// how many worker processes share the store (leases with expiry, so a
-// killed worker's cells are re-claimed).
+// matter how many clients ask for them concurrently (singleflight). A
+// Server is the single writer of its store (see cellstore.Store).
 //
 // API (requests and every response but the stream are JSON):
 //
@@ -34,7 +33,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"sync"
-	"time"
 
 	"smtsim"
 	"smtsim/internal/cellstore"
@@ -43,21 +41,10 @@ import (
 
 // Config configures a Server.
 type Config struct {
-	// Store is the shared cell store (required).
+	// Store is the cell store (required).
 	Store *cellstore.Store
 	// Workers bounds concurrent simulations (0 = GOMAXPROCS).
 	Workers int
-	// LeaseTTL is how long a worker's claim on a cell lasts before
-	// other workers may steal it. It must comfortably exceed one cell's
-	// simulation time; a stolen-but-alive cell is only wasted work, not
-	// wrong results (puts are idempotent). 0 = 1 minute.
-	LeaseTTL time.Duration
-	// Owner identifies this process in lease files. "" derives one from
-	// the pid.
-	Owner string
-	// PollInterval is the wait between checks while another process
-	// holds a cell's lease. 0 = 50ms.
-	PollInterval time.Duration
 	// Simulate runs one cell. nil = sweep.SimulateSpec (the in-process
 	// simulator). Tests inject counting or blocking hooks here.
 	Simulate func(cellstore.Spec) (smtsim.Result, error)
@@ -70,20 +57,6 @@ func (c Config) workers() int {
 		return c.Workers
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-func (c Config) leaseTTL() time.Duration {
-	if c.LeaseTTL > 0 {
-		return c.LeaseTTL
-	}
-	return time.Minute
-}
-
-func (c Config) pollInterval() time.Duration {
-	if c.PollInterval > 0 {
-		return c.PollInterval
-	}
-	return 50 * time.Millisecond
 }
 
 // outcome is one finished cell: a result or an error string.
@@ -185,8 +158,8 @@ type Stats struct {
 	QueueDepth int64 `json:"queue_depth"`
 	// Sweeps counts POST /v1/sweep submissions.
 	Sweeps int64 `json:"sweeps"`
-	// Store mirrors the cell store's own counters (torn tails recovered,
-	// leases stolen from dead workers, raw get/put traffic).
+	// Store mirrors the cell store's own counters (torn tails and
+	// corrupt records repaired on open, raw get/put traffic).
 	Store cellstore.Stats `json:"store"`
 }
 
@@ -214,6 +187,10 @@ type Server struct {
 	//smt:guarded-by(mu)
 	stats Stats
 
+	// wake carries one token per enqueue to sleeping workers. It holds
+	// as many tokens as there are workers, so a send that finds it full
+	// is redundant: every worker that sleeps afterwards takes a token
+	// and re-checks the queue.
 	wake chan struct{}
 	//smt:close-owner(Server.Shutdown)
 	quit chan struct{}
@@ -225,9 +202,6 @@ type Server struct {
 func New(cfg Config) (*Server, error) {
 	if cfg.Store == nil {
 		return nil, fmt.Errorf("sweepd: Config.Store is required")
-	}
-	if cfg.Owner == "" {
-		cfg.Owner = fmt.Sprintf("sweepd-%d", os.Getpid())
 	}
 	if cfg.Simulate == nil {
 		cfg.Simulate = sweep.SimulateSpec
@@ -241,7 +215,7 @@ func New(cfg Config) (*Server, error) {
 		mux:     http.NewServeMux(),
 		flights: make(map[string]*flight),
 		sweeps:  make(map[string]*sweepRun),
-		wake:    make(chan struct{}, 1),
+		wake:    make(chan struct{}, cfg.workers()),
 		quit:    make(chan struct{}),
 	}
 	s.mux.HandleFunc("POST /v1/sweep", s.handleSubmit)
@@ -307,8 +281,8 @@ func (s *Server) checkpoint() error {
 }
 
 // restoreCheckpoint re-enqueues cells a previous process shut down
-// with. Cells that landed in the store since (another worker finished
-// them) resolve instantly through the normal worker path.
+// with. Cells already in the store resolve instantly through the
+// normal worker path.
 func (s *Server) restoreCheckpoint() error {
 	b, err := os.ReadFile(s.checkpointPath())
 	if errors.Is(err, fs.ErrNotExist) {

@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -61,11 +62,9 @@ func newTestServer(t testing.TB, mutate func(*Config)) (*Server, *Client, *cells
 		t.Fatal(err)
 	}
 	cfg := Config{
-		Store:        store,
-		Workers:      4,
-		LeaseTTL:     time.Minute,
-		PollInterval: 5 * time.Millisecond,
-		Simulate:     fakeSimulate,
+		Store:    store,
+		Workers:  4,
+		Simulate: fakeSimulate,
 	}
 	if mutate != nil {
 		mutate(&cfg)
@@ -254,6 +253,46 @@ func TestSingleflight(t *testing.T) {
 	}
 }
 
+// TestIdleWorkersAllWake submits as many cells as there are workers,
+// all of them asleep, behind a barrier that opens only once every cell
+// is simulating at the same time. The workers have no poll timer to
+// fall back on, so a dropped wakeup leaves the barrier shut; the test's
+// own deadline only turns that hang into a failure.
+func TestIdleWorkersAllWake(t *testing.T) {
+	const workers = 4
+	var arrived atomic.Int64
+	open := make(chan struct{})
+	var once sync.Once
+	release := func() { once.Do(func() { close(open) }) }
+	defer release()
+	_, client, _ := newTestServer(t, func(c *Config) {
+		c.Workers = workers
+		c.Simulate = func(s cellstore.Spec) (smtsim.Result, error) {
+			if arrived.Add(1) == workers {
+				release()
+			}
+			<-open
+			return fakeSimulate(s)
+		}
+	})
+
+	done := make(chan error, 1)
+	go func() {
+		_, err := client.RunCells(testSpecs(workers))
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Errorf("only %d of %d cells simulating: a sleeping worker missed its wakeup", arrived.Load(), workers)
+		release()
+		<-done
+	}
+}
+
 // TestCheckpointRestore shuts a server down with cells still queued
 // and asserts a fresh server over the same store picks them up.
 func TestCheckpointRestore(t *testing.T) {
@@ -263,9 +302,8 @@ func TestCheckpointRestore(t *testing.T) {
 	}
 	release := make(chan struct{})
 	srv, err := New(Config{
-		Store:        store,
-		Workers:      1,
-		PollInterval: 5 * time.Millisecond,
+		Store:   store,
+		Workers: 1,
 		Simulate: func(s cellstore.Spec) (smtsim.Result, error) {
 			<-release
 			return fakeSimulate(s)
@@ -300,7 +338,7 @@ func TestCheckpointRestore(t *testing.T) {
 	}
 
 	// A fresh server restores the checkpoint and drains it unprompted.
-	srv2, err := New(Config{Store: store, Workers: 2, PollInterval: 5 * time.Millisecond, Simulate: fakeSimulate})
+	srv2, err := New(Config{Store: store, Workers: 2, Simulate: fakeSimulate})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,14 +1,11 @@
 package sweepd
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
-// worker drains the cell queue until Shutdown. Each iteration claims
-// one cell end to end — check store, lease, simulate, persist,
-// release — so Shutdown's wg.Wait() is the cell boundary: a worker
-// never abandons a half-simulated lease it still holds.
+// worker drains the cell queue until Shutdown. Each iteration resolves
+// one cell end to end — check store, simulate, persist — so Shutdown's
+// wg.Wait() is the cell boundary: a worker never abandons a cell
+// halfway.
 func (s *Server) worker() {
 	defer s.wg.Done()
 	for {
@@ -25,7 +22,6 @@ func (s *Server) worker() {
 			case <-s.quit:
 				return
 			case <-s.wake:
-			case <-time.After(s.cfg.pollInterval()):
 			}
 			continue
 		}
@@ -46,20 +42,9 @@ func (s *Server) pop() (string, bool) {
 	return hash, true
 }
 
-// requeue puts a hash back at the queue tail (used when shutdown
-// interrupts a cell the worker was waiting on).
-func (s *Server) requeue(hash string) {
-	s.mu.Lock()
-	s.queue = append(s.queue, hash)
-	s.stats.QueueDepth++
-	s.mu.Unlock()
-}
-
-// process resolves one queued cell. The store is the source of truth
-// at every step: another worker process sharing the directory may have
-// finished the cell already (serve it), may be simulating it right now
-// (wait; steal the lease if it expires — the owner died), or this
-// process simulates it and persists the result.
+// process resolves one queued cell: a store hit finishes it at once
+// (a restored checkpoint can name cells that landed before shutdown);
+// otherwise the cell simulates and its result is persisted.
 func (s *Server) process(hash string) {
 	s.mu.Lock()
 	f := s.flights[hash]
@@ -70,33 +55,12 @@ func (s *Server) process(hash string) {
 	spec := f.spec
 	s.mu.Unlock()
 
-	for {
-		if res, ok, err := s.store.Get(hash); err == nil && ok {
-			s.finish(hash, outcome{Result: res})
-			return
-		} else if err != nil {
-			s.finish(hash, outcome{Err: err.Error()})
-			return
-		}
-		acquired, err := s.store.TryLease(hash, s.cfg.Owner, s.cfg.leaseTTL())
-		if err != nil {
-			s.finish(hash, outcome{Err: err.Error()})
-			return
-		}
-		if acquired {
-			break
-		}
-		// A live foreign lease: some other worker process is on it.
-		// Wait for either its result to land or its lease to expire
-		// (then the loop steals the cell).
-		owner, _, _ := s.store.LeaseHolder(hash)
-		s.cfg.Logf("sweepd: cell %.8s leased by %s, waiting", hash, owner)
-		select {
-		case <-s.quit:
-			s.requeue(hash)
-			return
-		case <-time.After(s.cfg.pollInterval()):
-		}
+	if res, ok, err := s.store.Get(hash); err != nil {
+		s.finish(hash, outcome{Err: err.Error()})
+		return
+	} else if ok {
+		s.finish(hash, outcome{Result: res})
+		return
 	}
 
 	s.mu.Lock()
@@ -109,15 +73,12 @@ func (s *Server) process(hash string) {
 	s.mu.Unlock()
 
 	if err != nil {
-		s.store.Release(hash, s.cfg.Owner)
 		s.finish(hash, outcome{Err: fmt.Sprintf("simulating %.8s: %v", hash, err)})
 		return
 	}
 	if _, err := s.store.Put(spec, res); err != nil {
-		s.store.Release(hash, s.cfg.Owner)
 		s.finish(hash, outcome{Err: err.Error()})
 		return
 	}
-	s.store.Release(hash, s.cfg.Owner)
 	s.finish(hash, outcome{Result: res})
 }
