@@ -14,6 +14,11 @@ import (
 // three schedulers at IQ sizes 32 and 64. Any divergence in the wakeup
 // rewrite (a missed broadcast, a stale counter, a reordered ready list)
 // shows up here as a cycle-count mismatch.
+//
+// It checks wakeup, not stage gating: both runs are sanitized, and a
+// sanitized core always steps through the plain every-stage walk, so the
+// event side never executes the gated step. The gated-versus-plain
+// comparison is internal/pipeline's TestGatingMatchesPlainWalk.
 func TestWakeupDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential cross-check is not short")

@@ -109,7 +109,6 @@ var hotpathManifest = []string{
 	"pipeline.Core.issueUOp",
 	"pipeline.Core.noteLoadDone",
 	"pipeline.Core.noteLoadIssue",
-	"pipeline.Core.recomputeFetchHorizon",
 	"pipeline.Core.rename",
 	"pipeline.Core.stepCycle",
 	"pipeline.Core.stepGated",

@@ -194,33 +194,15 @@ type Core struct {
 	// nothing and none of its inputs (buffers, readiness counters, IQ
 	// and DAB occupancy, ROB heads) changed since: the next dispatch
 	// cycle would rescan identical state to the identical outcome, so
-	// stepCycle replays its accounting instead (event-wakeup mode only;
+	// the step replays its accounting instead (event-wakeup mode only;
 	// the polling path stays a plain per-cycle loop as the differential
-	// reference). It is the dispatch stage's activity horizon.
+	// reference). It is the dispatch stage's gate in stepGated.
 	dispFrozen bool
 
-	// Per-stage activity horizons (event-wakeup mode): the earliest cycle
-	// at which rename/fetch can possibly do work. A stage whose horizon
-	// lies in the future is skipped by the gated step, with only its
-	// round-robin rotation replayed. Horizons are conservative lower
-	// bounds — a stage may run and find nothing, never the reverse:
-	// rename recomputes its own on every run and every fetch-queue push
-	// lowers it; fetch recomputes its own on every run and the gate/
-	// redirect/flush/rename events that can re-enable an idle thread
-	// lower it. The remaining stages' horizons are intrinsic: writeback's
-	// is the event wheel's occupancy bit, commit's the commitable mask,
-	// issue's the ready-list and DAB occupancy, dispatch's dispFrozen.
-	renameHorizon int64
-	fetchHorizon  int64
-
 	// forcePlain routes stepCycle through the ungated stage walk even in
-	// event-wakeup mode; the horizon differential tests set it to produce
+	// event-wakeup mode; the gating differential tests set it to produce
 	// the reference run.
 	forcePlain bool
-
-	// lastDue records the due-stage bitmask of the most recent gated (or
-	// verified) cycle, for tests and diagnostics.
-	lastDue stageMask
 
 	// commitable is a per-thread bitmask meaning "this thread's ROB head
 	// may be completed": writeback sets a thread's bit when it completes
@@ -527,68 +509,46 @@ func (c *Core) Run(maxCommit uint64) (metrics.Results, error) {
 //smt:hotpath
 func (c *Core) Step() { c.stepCycle() }
 
-// stageMask is the due-stage bitmask the gated step builds as it walks
-// the pipeline: bit set = the stage's activity horizon has arrived and
-// the stage runs this cycle.
-type stageMask uint8
-
-const (
-	stageWriteback stageMask = 1 << iota
-	stageCommit
-	stageIssue
-	stageDispatch
-	stageRename
-	stageFetch
-)
-
 // stepCycle is Step, additionally reporting whether the cycle was
 // quiescent: no completion drained, nothing committed, issued,
 // dispatched or renamed, no watchdog flush, and no thread eligible to
 // fetch. Run uses a quiescent cycle as the fast-forward trigger (see
 // fastForward).
 //
-// Three bodies implement it. Event-wakeup mode steps through stepGated,
-// which consults the per-stage activity horizons and runs only the due
-// stages. The polling mode (and a forcePlain event core) steps through
-// stepPlain, the ungated reference walk. Any core with a sanitizer
-// attached steps through stepVerify, which is the plain walk plus a
-// cycle-for-cycle cross-check of every horizon predicate — so the whole
-// sanitized test suite differentially validates the gating, and a stale
-// horizon is caught within one cycle.
+// Two bodies implement it. An unsanitized event-wakeup core steps
+// through stepGated, which skips writeback, commit, issue and dispatch
+// on cycles their O(1) predicates prove idle. Every other core — polling,
+// forcePlain, or any core with a sanitizer attached — steps through
+// stepPlain, the ungated reference walk; on a sanitized gated core the
+// plain walk also cross-checks stepGated's predicates each cycle, so the
+// whole sanitized test suite differentially validates the gating.
 //
 //smt:hotpath
 func (c *Core) stepCycle() bool {
-	if c.san != nil {
-		return c.stepVerify()
-	}
-	if c.eventWakeup && !c.forcePlain {
+	if c.san == nil && c.eventWakeup && !c.forcePlain {
 		return c.stepGated()
 	}
 	return c.stepPlain()
 }
 
-// stepGated runs one cycle consulting the due-stage bitmask. Each
-// stage's due bit is evaluated immediately before the stage would run —
-// never earlier — because upstream stages feed the predicates within the
-// cycle: writeback sets commitable bits commit consumes, its broadcasts
-// grow the ready list issue consumes, and a watchdog flush rewrites the
-// front-end state rename and fetch consult. A skipped stage's only
-// replayed state is its round-robin rotation (commit, rename) or
-// selector tick (fetch); everything else it would have touched is
-// provably untouched by the horizon's contract.
+// stepGated runs one cycle, skipping each of writeback, commit, issue
+// and dispatch when its predicate says the stage has no work. Each
+// predicate is evaluated immediately before the stage would run — never
+// earlier — because upstream stages feed the predicates within the
+// cycle: writeback sets commitable bits commit consumes, and its
+// broadcasts grow the ready list issue consumes. A skipped stage's only
+// replayed state is commit's round-robin rotation and dispatch's idle
+// accounting. Rename and fetch run every cycle.
 //
 //smt:hotpath
 func (c *Core) stepGated() bool {
 	c.cycle++
-	var due stageMask
 	popped := 0
 	if c.events.hasDue(c.cycle) {
-		due |= stageWriteback
 		popped = c.writeback()
 	}
 	committed := 0
 	if !c.commitSkip || c.commitable != 0 {
-		due |= stageCommit
 		committed = c.commit()
 	} else {
 		c.commitRR++
@@ -598,14 +558,12 @@ func (c *Core) stepGated() bool {
 	}
 	issued := 0
 	if c.disp.DAB().Len() != 0 || c.q.ReadyLen() != 0 {
-		due |= stageIssue
 		issued = c.issue()
 	}
 	dispatched := 0
 	if c.dispFrozen && popped == 0 && committed == 0 && issued == 0 {
 		c.disp.ReplayIdle(1)
 	} else {
-		due |= stageDispatch
 		dispatched = c.disp.Run(c.cycle, c.q, c.rf, c.robs)
 	}
 	fired := false
@@ -613,98 +571,43 @@ func (c *Core) stepGated() bool {
 		c.flushAll()
 		fired = true
 	}
-	renamed := 0
-	if c.renameHorizon <= c.cycle {
-		due |= stageRename
-		renamed = c.rename()
-	} else {
-		c.renameRR++
-		if c.renameRR == c.nthreads {
-			c.renameRR = 0
-		}
-	}
+	renamed := c.rename()
 	// The stages that feed dispatch and ran after it this cycle (flush,
 	// rename) unfreeze it; writeback/commit/issue run before dispatch
 	// next cycle and are checked there.
 	c.dispFrozen = dispatched == 0 && !fired && renamed == 0
-	fetchable := false
-	if c.fetchHorizon <= c.cycle {
-		due |= stageFetch
-		fetchable = c.fetch()
-	} else {
-		c.sel.SkipIdle(1)
-	}
-	c.lastDue = due
+	fetchable := c.fetch()
 	return popped == 0 && committed == 0 && issued == 0 && dispatched == 0 &&
 		!fired && renamed == 0 && !fetchable
 }
 
 // stepPlain is the ungated reference walk: every stage runs every cycle.
-// It is the polling mode's step and the horizon differential tests'
-// reference (forcePlain).
+// It is the polling mode's step, the gating differential tests'
+// reference (forcePlain), and the sanitizer's step. On a sanitized core
+// that would otherwise step gated, it evaluates stepGated's writeback,
+// commit and issue predicates at exactly the point stepGated consults
+// them: a predicate that says "idle" while its stage performs work would
+// have made stepGated skip real work, and is reported through the
+// sanitizer error channel the same cycle.
 //
 //smt:hotpath
 func (c *Core) stepPlain() bool {
 	c.cycle++
-	popped := c.writeback()
-	committed := c.commit()
-	issued := c.issue()
-	dispatched := 0
-	if c.dispFrozen && popped == 0 && committed == 0 && issued == 0 {
-		c.disp.ReplayIdle(1)
-	} else {
-		dispatched = c.disp.Run(c.cycle, c.q, c.rf, c.robs)
-	}
-	fired := false
-	if c.wdog != nil && c.wdog.Tick(dispatched > 0) {
-		c.flushAll()
-		fired = true
-	}
-	renamed := c.rename()
-	c.dispFrozen = c.eventWakeup && dispatched == 0 && !fired && renamed == 0
-	fetchable := c.fetch()
-	return popped == 0 && committed == 0 && issued == 0 && dispatched == 0 &&
-		!fired && renamed == 0 && !fetchable
-}
-
-// stepVerify is the sanitizer's step: the plain walk, with every horizon
-// predicate evaluated at exactly the point stepGated would consult it
-// and cross-checked against the stage's actual behavior. A predicate
-// that says "idle" while the stage performs work is a stale horizon —
-// the gated step would have skipped real work — and is reported through
-// the sanitizer error channel the same cycle. State evolution is
-// bit-identical to both stepGated and stepPlain (skipped-stage rotation
-// replays match what the stages do when idle), so sanitized runs remain
-// valid differential references.
-//
-//smt:coldpath — diagnostic walk: runs only with a sanitizer attached, never in measured configurations
-func (c *Core) stepVerify() bool {
-	c.cycle++
-	gated := c.eventWakeup && !c.forcePlain
-	var due stageMask
-	dueWB := !gated || c.events.hasDue(c.cycle)
+	verify := c.san != nil && c.eventWakeup && !c.forcePlain
+	dueWB := !verify || c.events.hasDue(c.cycle)
 	popped := c.writeback()
 	if !dueWB && popped != 0 {
 		c.horizonFail("writeback", popped)
 	}
-	dueCm := !gated || !c.commitSkip || c.commitable != 0
+	dueCm := !verify || !c.commitSkip || c.commitable != 0
 	committed := c.commit()
 	if !dueCm && committed != 0 {
 		c.horizonFail("commit", committed)
 	}
-	dueIs := !gated || c.disp.DAB().Len() != 0 || c.q.ReadyLen() != 0
+	dueIs := !verify || c.disp.DAB().Len() != 0 || c.q.ReadyLen() != 0
 	issued := c.issue()
 	if !dueIs && issued != 0 {
 		c.horizonFail("issue", issued)
-	}
-	if dueWB {
-		due |= stageWriteback
-	}
-	if dueCm {
-		due |= stageCommit
-	}
-	if dueIs {
-		due |= stageIssue
 	}
 	dispatched := 0
 	if c.dispFrozen && popped == 0 && committed == 0 && issued == 0 {
@@ -717,36 +620,20 @@ func (c *Core) stepVerify() bool {
 		c.flushAll()
 		fired = true
 	}
-	dueRn := !gated || c.renameHorizon <= c.cycle
 	renamed := c.rename()
-	if !dueRn && renamed != 0 {
-		c.horizonFail("rename", renamed)
-	}
 	c.dispFrozen = c.eventWakeup && dispatched == 0 && !fired && renamed == 0
-	dueFt := !gated || c.fetchHorizon <= c.cycle
 	fetchable := c.fetch()
-	if !dueFt && fetchable {
-		c.horizonFail("fetch", 1)
+	if c.san != nil {
+		c.sanitize()
 	}
-	if dispatched > 0 || !c.dispFrozen {
-		due |= stageDispatch
-	}
-	if dueRn {
-		due |= stageRename
-	}
-	if dueFt {
-		due |= stageFetch
-	}
-	c.lastDue = due
-	c.sanitize()
 	return popped == 0 && committed == 0 && issued == 0 && dispatched == 0 &&
 		!fired && renamed == 0 && !fetchable
 }
 
-// horizonFail reports a stale stage horizon: the gated step would have
+// horizonFail reports a stale stage predicate: the gated step would have
 // skipped a stage that had real work.
 //
-//smt:coldpath — fires only on a detected horizon violation under the sanitizer
+//smt:coldpath — fires only on a detected predicate violation under the sanitizer
 func (c *Core) horizonFail(stage string, work int) {
 	err := fmt.Errorf("pipeline: cycle %d: stale %s horizon: stage gated idle but performed %d units of work",
 		c.cycle, stage, work)
@@ -852,11 +739,7 @@ func (c *Core) writeback() int {
 		if u.IsBranch() && u.Mispred {
 			// Resolution: the front end may refetch down the correct
 			// path after the redirect penalty.
-			b := c.cycle + c.cfg.RedirectPenalty
-			c.threads[u.Thread].blocked = b
-			if b < c.fetchHorizon {
-				c.fetchHorizon = b
-			}
+			c.threads[u.Thread].blocked = c.cycle + c.cfg.RedirectPenalty
 		}
 	}
 	return popped
@@ -1010,13 +893,6 @@ func (c *Core) issueUOp(u *uop.UOp, fromIQ bool, ld lsq.LoadDisposition) {
 func (c *Core) rename() int {
 	renamed := 0
 	budget := c.cfg.Width
-	// nextH re-derives the stage's activity horizon as the scan goes: the
-	// earliest head readyAt among waiting threads, or "next cycle" as
-	// soon as any thread is consumable-but-blocked (downstream space can
-	// free at any cycle) or the budget runs out. A thread with an empty
-	// fetch queue contributes nothing — the push that refills it lowers
-	// the horizon (see fetchThread).
-	nextH := int64(farFuture)
 	t := c.renameRR
 	c.renameRR++
 	if c.renameRR == c.nthreads {
@@ -1024,7 +900,6 @@ func (c *Core) rename() int {
 	}
 	for i := 0; i < c.nthreads; i, t = i+1, t+1 {
 		if budget == 0 {
-			nextH = c.cycle + 1
 			break
 		}
 		if t >= c.nthreads {
@@ -1036,27 +911,17 @@ func (c *Core) rename() int {
 			if e == nil {
 				break
 			}
-			if e.readyAt > c.cycle {
-				if e.readyAt < nextH {
-					nextH = e.readyAt
-				}
-				break
-			}
-			if budget == 0 {
-				nextH = c.cycle + 1
+			if e.readyAt > c.cycle || budget == 0 {
 				break
 			}
 			if !c.disp.Buffer(t).CanPush() || !c.robs[t].CanAlloc(1) {
-				nextH = c.cycle + 1
 				break
 			}
 			isMem := e.inst.Class.IsMem()
 			if isMem && !c.lsqs[t].CanAlloc(1) {
-				nextH = c.cycle + 1
 				break
 			}
 			if e.inst.HasDest() && !c.rf.CanAlloc(e.inst.Dest.Class, 1) {
-				nextH = c.cycle + 1
 				break
 			}
 			// The ROB slot is the uop's identity: allocating the entry
@@ -1093,12 +958,6 @@ func (c *Core) rename() int {
 			renamed++
 		}
 	}
-	c.renameHorizon = nextH
-	if renamed > 0 {
-		// Freed fetch-queue slots may re-enable a queue-full thread's
-		// fetch this very cycle (fetch runs after rename).
-		c.fetchHorizon = c.cycle
-	}
 	return renamed
 }
 
@@ -1124,32 +983,7 @@ func (c *Core) fetch() bool {
 		budget -= c.fetchThread(t, budget)
 		threadsUsed++
 	}
-	c.recomputeFetchHorizon(active)
 	return active
-}
-
-// recomputeFetchHorizon re-derives the fetch stage's activity horizon
-// after a fetch pass. An active pass always mutates state, so the stage
-// must run again next cycle. An idle pass means every thread was
-// blocked, queue-full, or fetch-gated: the blocked expiries bound the
-// horizon directly; queue-full and gate-blocked threads contribute
-// nothing because the events that release them lower fetchHorizon at
-// the source (rename pops a slot; noteLoadDone relaxes the gate;
-// mispredict resolution and flush recovery reset blocked).
-//
-//smt:hotpath
-func (c *Core) recomputeFetchHorizon(active bool) {
-	if active {
-		c.fetchHorizon = c.cycle + 1
-		return
-	}
-	nextH := int64(farFuture)
-	for t := range c.threads {
-		if b := c.threads[t].blocked; b > c.cycle && b < nextH {
-			nextH = b
-		}
-	}
-	c.fetchHorizon = nextH
 }
 
 //smt:hotpath
@@ -1180,11 +1014,6 @@ func (c *Core) fetchThread(t, budget int) int {
 		e := ts.fetchQPushSlot()
 		e.inst = in
 		e.readyAt = c.cycle + c.cfg.FrontEndDelay
-		if e.readyAt < c.renameHorizon {
-			// A refilled fetch queue re-arms the rename stage once the
-			// front-end delay elapses.
-			c.renameHorizon = e.readyAt
-		}
 		e.predTaken, e.predTarget, e.mispred = false, 0, false
 		if in.Class == isa.Branch {
 			pt, ptg := c.preds[t].Predict(in.PC)
@@ -1244,9 +1073,6 @@ func (c *Core) flushAll() {
 		ts.replay = append(insts, ts.replay...)
 		ts.blocked = c.cycle + c.cfg.FlushRefill
 		ts.lastBlockValid = false
-	}
-	if b := c.cycle + c.cfg.FlushRefill; b < c.fetchHorizon {
-		c.fetchHorizon = b
 	}
 }
 

@@ -56,7 +56,7 @@ func newEventWheel(horizon int) eventWheel {
 	backing := make([]completion, n*slotCap)
 	for i := range slots {
 		j := i * slotCap
-		slots[i] = backing[j:j : j+slotCap]
+		slots[i] = backing[j : j : j+slotCap]
 	}
 	return eventWheel{
 		slots: slots,
@@ -93,7 +93,7 @@ func (w *eventWheel) grow(need int64) {
 	backing := make([]completion, n*slotCap)
 	for i := range slots {
 		j := i * slotCap
-		slots[i] = backing[j:j : j+slotCap]
+		slots[i] = backing[j : j : j+slotCap]
 	}
 	for _, b := range w.slots {
 		for _, c := range b {
@@ -134,7 +134,7 @@ func (w *eventWheel) popDue(cycle int64) (id int32, seq uint64, ok bool) {
 }
 
 // hasDue reports in O(1) whether any completion is due at exactly
-// `cycle` — the writeback stage's activity horizon: pending completions
+// `cycle` — the writeback stage's gating predicate: pending completions
 // are never in the past (writeback drains each cycle's slot when that
 // cycle executes), so the slot's occupancy bit is the answer.
 //

@@ -110,11 +110,6 @@ func (c *Core) noteLoadDone(u *uop.UOp) {
 	if ts.gateLoad == u {
 		ts.gateLoad = nil
 	}
-	if c.cfg.FetchGate != GateNone {
-		// A completed miss may relax the fetch gate; writeback runs
-		// ahead of fetch in the cycle, so the stage is due immediately.
-		c.fetchHorizon = c.cycle
-	}
 }
 
 // forgetLoad is noteLoadDone for squashed loads that will never complete
@@ -180,8 +175,5 @@ func (c *Core) flushThreadAfter(pivot *uop.UOp) {
 	ts.lastBlockValid = false
 	if releaseBranchBlock {
 		ts.blocked = c.cycle + c.cfg.FlushRefill
-		if ts.blocked < c.fetchHorizon {
-			c.fetchHorizon = ts.blocked
-		}
 	}
 }
