@@ -13,9 +13,9 @@ vet:
 	go vet ./...
 
 # lint runs the repository's own analyzer suite (detlint, allocfree,
-# statescope, cyclepure, idsafe, memocoherent, guardedby, golife,
-# atomicfs) over the tree through the go vet driver, so results are
-# cached per package like any vet check.
+# statescope, cyclepure, idsafe, guardedby, golife, atomicfs) over the
+# tree through the go vet driver, so results are cached per package like
+# any vet check.
 lint: bin/smtlint
 	go vet -vettool=$(abspath bin/smtlint) ./...
 

@@ -1,7 +1,7 @@
 // Command smtlint runs the repository's static-analysis suite (detlint,
-// allocfree, statescope, cyclepure, idsafe, memocoherent, guardedby,
-// golife, atomicfs — see internal/analysis and DESIGN.md §7/§9/§11)
-// over Go packages.
+// allocfree, statescope, cyclepure, idsafe, guardedby, golife,
+// atomicfs — see internal/analysis and DESIGN.md §7/§9/§11) over Go
+// packages.
 //
 // Two modes:
 //

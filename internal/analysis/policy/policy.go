@@ -61,6 +61,13 @@ func IsServicePackage(path string) bool {
 	return false
 }
 
+// FuncRef names one function: Func is "Name" for package-level
+// functions and "Recv.Name" for methods (pointer receivers included).
+type FuncRef struct {
+	Pkg  string
+	Func string
+}
+
 // AtomicFSAllowed enumerates the blessed crash-consistency helpers:
 // the only functions in the service layer allowed to call the raw
 // file-mutating os functions (os.WriteFile, os.Create, os.CreateTemp,
@@ -129,93 +136,4 @@ func ProtectedTypes(pkg string) (typeNames []string, ok bool) {
 		}
 	}
 	return nil, false
-}
-
-// FieldRef names one struct field by declaring package, type, and field
-// name — the granularity the memo-coherence analyzer matches writes at.
-type FieldRef struct {
-	Pkg   string
-	Type  string
-	Field string
-}
-
-// FuncRef names one function: Func is "Name" for package-level
-// functions and "Recv.Name" for methods (pointer receivers included).
-type FuncRef struct {
-	Pkg  string
-	Func string
-}
-
-// MemoSpec declares one memoized-scan cache and its coherence contract:
-// Memo is the validity state (generation counter, valid bit, skip
-// mask); Guarded lists the fields whose mutation invalidates the memo;
-// Writers enumerates the functions audited to perform the matching
-// invalidation themselves or to run only while the memo is provably
-// cold. memocoherent rejects any other function that writes a guarded
-// field without also writing the memo field in the same body — the
-// compile-time form of the sanitizer's freeze-hides-dispatchable and
-// commit-skip cross-checks.
-type MemoSpec struct {
-	Name    string
-	Memo    FieldRef
-	Guarded []FieldRef
-	Writers []FuncRef
-}
-
-// Memos lists the cycle path's memoized scans (DESIGN.md §8): the
-// dispatch buffer's content generation, the dispatch-scan freeze over
-// operand-readiness state, and the commit-skip mask over completion
-// state.
-var Memos = []MemoSpec{
-	{
-		// Buffer.gen counts content mutations; the dispatcher's scan
-		// freeze keys on it. Push/RemoveAt bump it inline (rule: a
-		// guarded writer that also writes the memo needs no listing).
-		Name: "buffer-generation",
-		Memo: FieldRef{Pkg: "smtsim/internal/core", Type: "Buffer", Field: "gen"},
-		Guarded: []FieldRef{
-			{Pkg: "smtsim/internal/core", Type: "Buffer", Field: "buf"},
-			{Pkg: "smtsim/internal/core", Type: "Buffer", Field: "head"},
-			{Pkg: "smtsim/internal/core", Type: "Buffer", Field: "size"},
-		},
-	},
-	{
-		// The per-thread dispatch-scan freeze memoizes "this buffer has
-		// no dispatchable instruction". It is invalidated on buffer
-		// mutation via the generation above, and on operand readiness
-		// changes via Dispatcher.OnComplete — so every writer of a
-		// not-ready counter must be audited against that wakeup path.
-		Name: "dispatch-scan-freeze",
-		Memo: FieldRef{Pkg: "smtsim/internal/core", Type: "threadFreeze", Field: "valid"},
-		Guarded: []FieldRef{
-			{Pkg: "smtsim/internal/uop", Type: "Bank", Field: "NotReady"},
-			{Pkg: "smtsim/internal/regfile", Type: "File", Field: "notReady"},
-		},
-		Writers: []FuncRef{
-			// rename initializes a new uop's counter; a freshly pushed
-			// buffer entry bumps Buffer.gen, which invalidates the
-			// freeze through the generation check.
-			{Pkg: "smtsim/internal/pipeline", Func: "Core.rename"},
-			// SetReady decrements counters on tag broadcast; the
-			// pipeline calls Dispatcher.OnComplete on the same event.
-			{Pkg: "smtsim/internal/regfile", Func: "File.SetReady"},
-			// AttachWakeup aliases the bank's column at construction,
-			// before any freeze exists.
-			{Pkg: "smtsim/internal/regfile", Func: "File.AttachWakeup"},
-		},
-	},
-	{
-		// commitable caches "this thread's ROB head is completed";
-		// commit skips threads whose bit is clear. writeback sets the
-		// bit inline when it completes a head; Reset recycles a slot
-		// whose thread bit was consumed at commit time.
-		Name: "commit-skip-mask",
-		Memo: FieldRef{Pkg: "smtsim/internal/pipeline", Type: "Core", Field: "commitable"},
-		Guarded: []FieldRef{
-			{Pkg: "smtsim/internal/uop", Type: "UOp", Field: "Completed"},
-		},
-		Writers: []FuncRef{
-			{Pkg: "smtsim/internal/uop", Func: "UOp.Reset"},
-		},
-	},
 }

@@ -26,7 +26,7 @@ import (
 // The SoA slab entries (uop.Bank.Get, uop.UOp.Reset) are guarded
 // directly by TestBankHotOpsZeroAllocs (internal/uop/alloc_test.go) and
 // transitively by the pipeline bench guard, which drives them through
-// the dispatch-scan freeze and commit-skip mask paths every cycle.
+// the dispatch scan, writeback and commit every cycle.
 //
 // TestHotpathAnnotationsMatchManifest fails when an annotation is added
 // without updating this list — adding an entry is the reviewed promise

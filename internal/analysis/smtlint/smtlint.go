@@ -19,7 +19,6 @@ import (
 	"smtsim/internal/analysis/guardedby"
 	"smtsim/internal/analysis/idsafe"
 	"smtsim/internal/analysis/load"
-	"smtsim/internal/analysis/memocoherent"
 	"smtsim/internal/analysis/statescope"
 )
 
@@ -31,7 +30,6 @@ var Analyzers = []*framework.Analyzer{
 	statescope.Analyzer,
 	cyclepure.Analyzer,
 	idsafe.Analyzer,
-	memocoherent.Analyzer,
 	guardedby.Analyzer,
 	golife.Analyzer,
 	atomicfs.Analyzer,

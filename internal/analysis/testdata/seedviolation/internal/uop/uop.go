@@ -1,6 +1,5 @@
 // Package uop is the fixture module's stand-in for the real slab: its
-// import path makes Bank.Get the accessor idsafe guards and UOp's
-// fields the state the memo specs in policy guard.
+// import path makes Bank.Get the accessor idsafe guards.
 package uop
 
 // ID indexes a Bank slot.
@@ -8,11 +7,10 @@ type ID = int32
 
 // UOp is one record.
 type UOp struct {
-	ID        ID
-	GSeq      uint64
-	Thread    int
-	Squashed  bool
-	Completed bool
+	ID       ID
+	GSeq     uint64
+	Thread   int
+	Squashed bool
 }
 
 // Bank is the slab.

@@ -1,12 +1,12 @@
-// Package wb carries the seeded memo-coherence violation: it completes
-// a uop — state guarded by the commit-skip mask memo — while neither
-// writing the mask nor appearing on the memo's declared writer list.
+// Package wb carries the seeded location-exclusivity violation: it
+// writes a field of a reorder-buffer type from outside package rob,
+// with no //smt:stage grant.
 package wb
 
-import "smtsim/internal/uop"
+import "smtsim/internal/rob"
 
-// Complete is the seeded violation: the thread's commit-skip bit keeps
-// claiming the head is incomplete.
-func Complete(u *uop.UOp) {
-	u.Completed = true
+// Rewind is the seeded violation: it resets the window's count behind
+// the owner's back.
+func Rewind(w *rob.Window) {
+	w.Retired = 0
 }

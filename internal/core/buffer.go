@@ -17,10 +17,6 @@ type Buffer struct {
 	capn int // logical capacity (CanPush gate), <= len(buf)
 	head int
 	size int
-	// gen counts content mutations (pushes and removals). The
-	// dispatcher's per-thread scan freeze uses it to detect that a
-	// buffer is unchanged since the scan it memoized.
-	gen uint32
 }
 
 // NewBuffer builds a buffer with the given capacity over the bank.
@@ -57,7 +53,6 @@ func (b *Buffer) Push(u *uop.UOp) {
 	}
 	b.buf[(b.head+b.size)&b.mask] = u.ID
 	b.size++
-	b.gen++
 }
 
 // At returns the i-th oldest buffered instruction (0 = oldest).
@@ -79,7 +74,6 @@ func (b *Buffer) At(i int) *uop.UOp {
 //smt:hotpath
 func (b *Buffer) RemoveAt(i int) *uop.UOp {
 	u := b.At(i)
-	b.gen++
 	if i == 0 {
 		b.head = (b.head + 1) & b.mask
 		b.size--

@@ -133,14 +133,6 @@ type Dispatcher struct {
 	// reasons is per-cycle scratch for the stall accounting.
 	reasons []blockReason
 
-	// frozen memoizes, per thread, an OOOD scan that found every
-	// buffered instruction statically blocked (the 2OP condition or the
-	// idealized filter — never a queue-occupancy decision): until the
-	// buffer's generation changes or one of the thread's instructions
-	// completes, re-running the scan is pure recomputation, so Run
-	// replays the memoized statistics instead. Event-wakeup mode only.
-	frozen []threadFreeze
-
 	// Idle-replay capture for the pipeline's dispatch freeze and
 	// quiescent-cycle fast-forward: Run records which flat stall
 	// counters it bumped and by how much the per-thread/pile counters
@@ -176,7 +168,6 @@ func NewDispatcher(bank *uop.Bank, policy Policy, width, bufCap, threads int) *D
 	}
 	d.stats.NDIBlockCycles = make([]uint64, threads)
 	d.reasons = make([]blockReason, threads)
-	d.frozen = make([]threadFreeze, threads)
 	d.idleNDI = make([]uint64, threads)
 	return d
 }
@@ -231,20 +222,6 @@ func (d *Dispatcher) Stats() Stats { return d.stats }
 func (d *Dispatcher) ResetStats() {
 	d.stats = Stats{NDIBlockCycles: make([]uint64, d.threads)}
 	d.dab.Inserts = 0
-}
-
-// threadFreeze is one thread's memoized statically-blocked scan: the
-// head-NDI statistics the scan bumps each cycle it repeats, and the
-// buffer generation it is valid for. OnComplete invalidates it (a
-// completion is the only event that changes the thread's source-
-// readiness counters or clears its taint), and any buffer mutation is
-// caught by the generation check.
-type threadFreeze struct {
-	valid    bool
-	headNDI  bool
-	gen      uint32
-	piled    uint64
-	piledHDI uint64
 }
 
 // blockReason records why a thread dispatched nothing this cycle.
@@ -477,42 +454,20 @@ func (d *Dispatcher) runThreadInOrder(cycle int64, t int, q *iq.Queue, rf *regfi
 //smt:hotpath
 func (d *Dispatcher) runThreadOOO(cycle int64, t int, q *iq.Queue, rf *regfile.File, r *rob.ROB, budget int) (int, blockReason) {
 	buf := &d.bufs[t]
-	fz := &d.frozen[t]
-	if fz.valid && fz.gen == buf.gen {
-		// The memoized statically-blocked scan repeats exactly: the
-		// per-uop NDI/taint marks are already in place, so only the
-		// per-cycle statistics and the live partition-cap check remain.
-		if fz.headNDI {
-			d.stats.NDIBlockCycles[t]++
-			d.stats.PiledSampled += fz.piled
-			d.stats.PiledHDI += fz.piledHDI
-		}
-		if d.atCap(t, q) {
-			return 0, blockIQFull
-		}
-		return 0, blockNDI
-	}
-	fz.valid = false
 	moved := 0
 	reason := blockNone
 
 	// Per-cycle statistics: if the oldest undispatched instruction is an
 	// NDI this cycle, record the block and sample the pile behind it.
-	headNDI := false
-	var piled, piledHDI uint64
 	if d.srcNotReady(buf.At(0), rf) > 1 {
-		headNDI = true
 		d.stats.NDIBlockCycles[t]++
-		p0, h0 := d.stats.PiledSampled, d.stats.PiledHDI
 		d.samplePiled(t, rf)
-		piled, piledHDI = d.stats.PiledSampled-p0, d.stats.PiledHDI-h0
 	}
 
 	if d.atCap(t, q) {
 		return 0, blockIQFull
 	}
 
-	dynamic := false
 scan:
 	for moved < budget && buf.Len() > 0 {
 		idx := -1
@@ -540,7 +495,6 @@ scan:
 				continue
 			}
 			if !q.CanAccept(nr) {
-				dynamic = true
 				if q.Free() == 0 {
 					// Queue completely full. Deadlock-avoidance path:
 					// the ROB-oldest instruction may proceed to the DAB
@@ -579,13 +533,6 @@ scan:
 			reason = blockIQFull
 			break
 		}
-	}
-	if d.eventWakeup && moved == 0 && reason == blockNDI && !dynamic {
-		// Every buffered instruction was skipped on a static condition:
-		// memoize the scan until the buffer mutates or a completion of
-		// this thread changes readiness or taint.
-		fz.valid, fz.gen = true, buf.gen
-		fz.headNDI, fz.piled, fz.piledHDI = headNDI, piled, piledHDI
 	}
 	return moved, reason
 }
@@ -678,7 +625,6 @@ func (d *Dispatcher) dispatchToDAB(cycle int64, t int, u *uop.UOp, outOfOrder bo
 //
 //smt:hotpath
 func (d *Dispatcher) OnComplete(u *uop.UOp) {
-	d.frozen[u.Thread].valid = false
 	if u.Dest.Valid() {
 		d.taint[u.Thread].clear(u.Dest)
 	}
@@ -734,28 +680,6 @@ func (d *Dispatcher) CheckInvariants(q *iq.Queue, rf *regfile.File) error {
 	}
 	if got := d.dab.Len(); got > d.dab.Cap() {
 		return fmt.Errorf("core: DAB holds %d entries over capacity %d", got, d.dab.Cap())
-	}
-	// A live scan freeze asserts the whole buffer is statically blocked:
-	// every entry must still classify as a 2OP-condition NDI or a
-	// filtered NDI-dependent, or the memo is hiding dispatchable work.
-	for t := range d.frozen {
-		fz := &d.frozen[t]
-		buf := &d.bufs[t]
-		if !d.eventWakeup || !fz.valid || fz.gen != buf.gen {
-			continue
-		}
-		for j := 0; j < buf.Len(); j++ {
-			u := buf.At(j)
-			nr := int(d.bank.NotReady[u.ID])
-			if !q.ClassSupported(nr) {
-				continue
-			}
-			if d.filtered && d.dependsOnNDI(t, u) {
-				continue
-			}
-			return fmt.Errorf("core: thread %d scan freeze hides dispatchable gseq=%d (%d non-ready sources)",
-				t, u.GSeq, nr)
-		}
 	}
 	return nil
 }

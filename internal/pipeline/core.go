@@ -204,16 +204,6 @@ type Core struct {
 	// the reference run.
 	forcePlain bool
 
-	// commitable is a per-thread bitmask meaning "this thread's ROB head
-	// may be completed": writeback sets a thread's bit when it completes
-	// the head, commit clears it when its in-order scan stops on an
-	// absent or incomplete head (a budget-bounded stop keeps it set).
-	// When commitSkip is enabled (event mode, ≤64 threads) commit skips
-	// clear threads without touching their ROB; polling mode always
-	// scans, so the mask is maintained but never consulted.
-	commitable uint64
-	commitSkip bool
-
 	// Statistics baselines, set by Warmup so measurement excludes the
 	// initialization period (the paper skips initialization with
 	// SimPoints and measures the following 100M instructions).
@@ -266,7 +256,6 @@ func New(cfg Config, specs []ThreadSpec) (*Core, error) {
 	// Sample call from the cycle path.
 	c.q.BindCycleCounter(&c.cycle)
 	c.eventWakeup = !cfg.PollingWakeup
-	c.commitSkip = c.eventWakeup && n <= 64
 	if c.eventWakeup {
 		c.q.SetEventWakeup(true)
 		c.disp.SetEventWakeup(true)
@@ -355,17 +344,6 @@ func (c *Core) SanitizerError() error { return c.sanErr }
 //smt:coldpath — diagnostic sweep: runs only with a sanitizer attached, never in measured configurations
 func (c *Core) sanitize() {
 	err := c.san.CheckCycle(c.cycle)
-	if err == nil && c.commitSkip {
-		// The commit-skip mask must never hide a committable head: a
-		// clear bit asserts the thread's ROB head is absent or
-		// incomplete.
-		for t := range c.robs {
-			if u := c.robs[t].Head(); u != nil && u.Completed && c.commitable&(1<<uint(t)) == 0 {
-				err = fmt.Errorf("pipeline: cycle %d: thread %d has a completed ROB head but a clear commit-skip bit", c.cycle, t)
-				break
-			}
-		}
-	}
 	if err == nil {
 		return
 	}
@@ -516,8 +494,8 @@ func (c *Core) Step() { c.stepCycle() }
 // fastForward).
 //
 // Two bodies implement it. An unsanitized event-wakeup core steps
-// through stepGated, which skips writeback, commit, issue and dispatch
-// on cycles their O(1) predicates prove idle. Every other core — polling,
+// through stepGated, which skips writeback, issue and dispatch on cycles
+// their O(1) predicates prove idle. Every other core — polling,
 // forcePlain, or any core with a sanitizer attached — steps through
 // stepPlain, the ungated reference walk; on a sanitized gated core the
 // plain walk also cross-checks stepGated's predicates each cycle, so the
@@ -531,14 +509,13 @@ func (c *Core) stepCycle() bool {
 	return c.stepPlain()
 }
 
-// stepGated runs one cycle, skipping each of writeback, commit, issue
-// and dispatch when its predicate says the stage has no work. Each
-// predicate is evaluated immediately before the stage would run — never
-// earlier — because upstream stages feed the predicates within the
-// cycle: writeback sets commitable bits commit consumes, and its
-// broadcasts grow the ready list issue consumes. A skipped stage's only
-// replayed state is commit's round-robin rotation and dispatch's idle
-// accounting. Rename and fetch run every cycle.
+// stepGated runs one cycle, skipping each of writeback, issue and
+// dispatch when its predicate says the stage has no work. Each predicate
+// is evaluated immediately before the stage would run — never earlier —
+// because upstream stages feed the predicates within the cycle:
+// writeback's broadcasts grow the ready list issue consumes. A skipped
+// stage's only replayed state is dispatch's idle accounting. Commit,
+// rename and fetch run every cycle.
 //
 //smt:hotpath
 func (c *Core) stepGated() bool {
@@ -547,15 +524,7 @@ func (c *Core) stepGated() bool {
 	if c.events.hasDue(c.cycle) {
 		popped = c.writeback()
 	}
-	committed := 0
-	if !c.commitSkip || c.commitable != 0 {
-		committed = c.commit()
-	} else {
-		c.commitRR++
-		if c.commitRR == c.nthreads {
-			c.commitRR = 0
-		}
-	}
+	committed := c.commit()
 	issued := 0
 	if c.disp.DAB().Len() != 0 || c.q.ReadyLen() != 0 {
 		issued = c.issue()
@@ -584,8 +553,8 @@ func (c *Core) stepGated() bool {
 // stepPlain is the ungated reference walk: every stage runs every cycle.
 // It is the polling mode's step, the gating differential tests'
 // reference (forcePlain), and the sanitizer's step. On a sanitized core
-// that would otherwise step gated, it evaluates stepGated's writeback,
-// commit and issue predicates at exactly the point stepGated consults
+// that would otherwise step gated, it evaluates stepGated's writeback
+// and issue predicates at exactly the point stepGated consults
 // them: a predicate that says "idle" while its stage performs work would
 // have made stepGated skip real work, and is reported through the
 // sanitizer error channel the same cycle.
@@ -599,11 +568,7 @@ func (c *Core) stepPlain() bool {
 	if !dueWB && popped != 0 {
 		c.horizonFail("writeback", popped)
 	}
-	dueCm := !verify || !c.commitSkip || c.commitable != 0
 	committed := c.commit()
-	if !dueCm && committed != 0 {
-		c.horizonFail("commit", committed)
-	}
 	dueIs := !verify || c.disp.DAB().Len() != 0 || c.q.ReadyLen() != 0
 	issued := c.issue()
 	if !dueIs && issued != 0 {
@@ -725,9 +690,6 @@ func (c *Core) writeback() int {
 		}
 		u.Completed = true
 		u.CompletedAt = c.cycle
-		if c.robs[u.Thread].Head() == u {
-			c.commitable |= 1 << uint(u.Thread)
-		}
 		c.rf.SetReady(u.Dest)
 		if u.Dest.Valid() {
 			c.broadcasts++ // one wakeup-bus tag broadcast
@@ -762,13 +724,9 @@ func (c *Core) commit() int {
 		if t >= c.nthreads {
 			t = 0
 		}
-		if c.commitSkip && c.commitable&(1<<uint(t)) == 0 {
-			continue
-		}
 		for budget > 0 {
 			u := c.robs[t].Head()
 			if u == nil || !u.Completed {
-				c.commitable &^= 1 << uint(t)
 				break
 			}
 			c.robs[t].PopHead()

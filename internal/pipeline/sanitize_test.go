@@ -195,44 +195,3 @@ func TestSanitizerErrorSurfacesThroughRun(t *testing.T) {
 		t.Error("SanitizerError lost the violation")
 	}
 }
-
-// TestSanitizerCatchesCommitSkipCorruption targets the commit-skip mask
-// (Core.commitable): a clear bit asserts the thread's ROB head is
-// absent or incomplete, and commit trusts it without touching the ROB.
-// A machine width of one keeps completed heads queued across cycle
-// boundaries, so the test can catch a thread with a committable head,
-// forge its bit clear, and verify the per-cycle cross-check reports the
-// hidden head rather than letting commit stall silently forever.
-func TestSanitizerCatchesCommitSkipCorruption(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Policy = icore.TwoOpOOOD
-	cfg.Width = 1
-	c, err := New(cfg, []ThreadSpec{
-		{Name: "equake", Reader: benchStream(t, "equake", 3)},
-		{Name: "gcc", Reader: benchStream(t, "gcc", 4)},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !c.commitSkip {
-		t.Fatal("commit-skip mask is not enabled on an event-wakeup core")
-	}
-	for cycle := 0; cycle < 50_000; cycle++ {
-		c.Step()
-		for th := range c.robs {
-			u := c.robs[th].Head()
-			if u == nil || !u.Completed || c.commitable&(1<<uint(th)) == 0 {
-				continue
-			}
-			c.commitable &^= 1 << uint(th) // forge: head hidden from commit
-			c.sanPanic = false
-			c.sanitize()
-			serr := c.SanitizerError()
-			if serr == nil || !strings.Contains(serr.Error(), "commit-skip") {
-				t.Fatalf("sanitizer returned %v, want a commit-skip mask violation", serr)
-			}
-			return
-		}
-	}
-	t.Fatal("no completed ROB head survived a cycle boundary in 50k cycles")
-}

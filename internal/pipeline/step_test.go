@@ -57,7 +57,8 @@ func runCommitStream(t *testing.T, cfg Config, forcePlain bool, maxCommit uint64
 // one commit cycle. The variants cover the three schedulers plus the
 // paths that rewrite state between gated stages: the watchdog flush
 // (and fastForward's watchdog-expiry bound), the STALL and FLUSH fetch
-// gates, the thread-rotating issue arbiter, and a bounded MSHR file.
+// gates, the thread-rotating issue arbiter, a bounded MSHR file, and a
+// one-wide machine.
 // Where a variant's mechanism leaves a counter, the run must show it
 // fired, so the case cannot pass vacuously.
 func TestGatingMatchesPlainWalk(t *testing.T) {
@@ -102,6 +103,12 @@ func TestGatingMatchesPlainWalk(t *testing.T) {
 			name:   "mshr4",
 			mutate: ooo(func(c *Config) { c.MSHRs = 4 }),
 			fired:  func(r metrics.Results) uint64 { return r.MSHRStallEvents },
+		},
+		{
+			// A one-wide machine's budget-bounded commit leaves completed
+			// ROB heads queued across cycles.
+			name:   "width-1",
+			mutate: ooo(func(c *Config) { c.Width = 1 }),
 		},
 	}
 	for _, tc := range cases {
