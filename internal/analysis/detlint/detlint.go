@@ -6,9 +6,10 @@
 // either leaks nondeterminism into a replay).
 //
 // The runtime counterpart is the differential layer: FuzzPipeline
-// asserts scheduler-independent commit streams and event/polling
-// bit-identity, which only holds if nothing on the cycle path consumes
-// an unstable order. detlint stops the whole class before it compiles.
+// asserts scheduler-independent commit streams and the fast machine's
+// bit-identity with the plain every-stage walk, and pins both against
+// checked-in commit digests, which only holds if nothing on the cycle
+// path consumes an unstable order. detlint stops the whole class before it compiles.
 //
 // The same replay argument forbids concurrency constructs outright on
 // the cycle path: a `go` statement hands cycle-path state to the

@@ -70,7 +70,6 @@ var hotpathManifest = []string{
 	"core.Dispatcher.runThreadInOrder",
 	"core.Dispatcher.runThreadOOO",
 	"core.Dispatcher.samplePiled",
-	"core.Dispatcher.srcNotReady",
 	"core.Dispatcher.tickEmpty",
 	"core.Watchdog.Tick",
 	"core.taintSet.clear",
@@ -85,14 +84,12 @@ var hotpathManifest = []string{
 	"iq.Queue.ReadyOldestFirst",
 	"iq.Queue.ReadyOrdered",
 	"iq.Queue.Remove",
-	"iq.Queue.Sample",
 	"iq.Queue.ThreadCount",
 	"iq.Queue.UOpReady",
 	"iq.Queue.detach",
 	"iq.Queue.dropReady",
 	"iq.Queue.settle",
 	"iq.Queue.settleTo",
-	"iq.Queue.srcNotReady",
 	"iq.Queue.wake",
 	"lsq.LSQ.Alloc",
 	"lsq.LSQ.CanAlloc",

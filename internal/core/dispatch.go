@@ -125,11 +125,6 @@ type Dispatcher struct {
 	taint      []taintSet
 	taintReady bool
 
-	// eventWakeup selects the bank's event-maintained not-ready counters
-	// over register-file polling for source-readiness classification; it
-	// must match the issue queue's wakeup mode.
-	eventWakeup bool
-
 	// reasons is per-cycle scratch for the stall accounting.
 	reasons []blockReason
 
@@ -170,22 +165,6 @@ func NewDispatcher(bank *uop.Bank, policy Policy, width, bufCap, threads int) *D
 	d.reasons = make([]blockReason, threads)
 	d.idleNDI = make([]uint64, threads)
 	return d
-}
-
-// SetEventWakeup selects event-driven source-readiness tracking: NDI/HDI
-// classification reads the bank's NotReady counters the wakeup
-// broadcasts maintain, instead of re-polling every operand against the
-// register file each cycle. Must match the issue queue's mode.
-func (d *Dispatcher) SetEventWakeup(on bool) { d.eventWakeup = on }
-
-// srcNotReady returns u's non-ready source count under the active mode.
-//
-//smt:hotpath
-func (d *Dispatcher) srcNotReady(u *uop.UOp, rf *regfile.File) int {
-	if d.eventWakeup {
-		return int(d.bank.NotReady[u.ID])
-	}
-	return u.NumSrcNotReady(rf)
 }
 
 // Policy returns the configured policy.
@@ -286,7 +265,7 @@ func (d *Dispatcher) Run(cycle int64, q *iq.Queue, rf *regfile.File, robs []*rob
 			continue
 		}
 		anyWork = true
-		n, reason := d.runThread(cycle, t, q, rf, robs[t], budget)
+		n, reason := d.runThread(cycle, t, q, robs[t], budget)
 		budget -= n
 		dispatched += n
 		if n == 0 {
@@ -401,28 +380,28 @@ func (d *Dispatcher) ReplayIdle(k int64) {
 // budget, returning how many instructions moved and, when zero, why.
 //
 //smt:hotpath
-func (d *Dispatcher) runThread(cycle int64, t int, q *iq.Queue, rf *regfile.File, r *rob.ROB, budget int) (int, blockReason) {
+func (d *Dispatcher) runThread(cycle int64, t int, q *iq.Queue, r *rob.ROB, budget int) (int, blockReason) {
 	if d.policy.OutOfOrder() {
-		return d.runThreadOOO(cycle, t, q, rf, r, budget)
+		return d.runThreadOOO(cycle, t, q, r, budget)
 	}
-	return d.runThreadInOrder(cycle, t, q, rf, r, budget)
+	return d.runThreadInOrder(cycle, t, q, r, budget)
 }
 
 //smt:hotpath
-func (d *Dispatcher) runThreadInOrder(cycle int64, t int, q *iq.Queue, rf *regfile.File, r *rob.ROB, budget int) (int, blockReason) {
+func (d *Dispatcher) runThreadInOrder(cycle int64, t int, q *iq.Queue, r *rob.ROB, budget int) (int, blockReason) {
 	buf := &d.bufs[t]
 	moved := 0
 	reason := blockNone
 	for moved < budget && buf.Len() > 0 {
 		u := buf.At(0)
-		nr := d.srcNotReady(u, rf)
+		nr := int(d.bank.NotReady[u.ID])
 		if !q.ClassSupported(nr) {
 			// Static NDI: no entry type in this queue has enough tag
 			// comparators (the 2OP condition). The whole thread stalls
 			// at dispatch until an operand becomes ready.
 			d.markNDI(t, u)
 			d.stats.NDIBlockCycles[t]++
-			d.samplePiled(t, rf)
+			d.samplePiled(t)
 			reason = blockNDI
 			break
 		}
@@ -444,7 +423,7 @@ func (d *Dispatcher) runThreadInOrder(cycle int64, t int, q *iq.Queue, rf *regfi
 			}
 			break
 		}
-		d.commitDispatch(cycle, t, u, nr, q, rf, false)
+		d.commitDispatch(cycle, t, u, nr, q, false)
 		buf.RemoveAt(0)
 		moved++
 	}
@@ -452,16 +431,16 @@ func (d *Dispatcher) runThreadInOrder(cycle int64, t int, q *iq.Queue, rf *regfi
 }
 
 //smt:hotpath
-func (d *Dispatcher) runThreadOOO(cycle int64, t int, q *iq.Queue, rf *regfile.File, r *rob.ROB, budget int) (int, blockReason) {
+func (d *Dispatcher) runThreadOOO(cycle int64, t int, q *iq.Queue, r *rob.ROB, budget int) (int, blockReason) {
 	buf := &d.bufs[t]
 	moved := 0
 	reason := blockNone
 
 	// Per-cycle statistics: if the oldest undispatched instruction is an
 	// NDI this cycle, record the block and sample the pile behind it.
-	if d.srcNotReady(buf.At(0), rf) > 1 {
+	if int(d.bank.NotReady[buf.At(0).ID]) > 1 {
 		d.stats.NDIBlockCycles[t]++
-		d.samplePiled(t, rf)
+		d.samplePiled(t)
 	}
 
 	if d.atCap(t, q) {
@@ -476,7 +455,7 @@ scan:
 		pickNR := 0
 		for j := 0; j < buf.Len(); j++ {
 			u := buf.At(j)
-			nr := d.srcNotReady(u, rf)
+			nr := int(d.bank.NotReady[u.ID])
 			if !q.ClassSupported(nr) {
 				// Static NDI (the 2OP condition): skip it; younger
 				// dispatchable instructions may proceed out of order.
@@ -527,7 +506,7 @@ scan:
 			break
 		}
 		buf.RemoveAt(idx)
-		d.commitDispatch(cycle, t, pick, pickNR, q, rf, sawNDI && idx > 0)
+		d.commitDispatch(cycle, t, pick, pickNR, q, sawNDI && idx > 0)
 		moved++
 		if d.atCap(t, q) {
 			reason = blockIQFull
@@ -556,11 +535,11 @@ func (d *Dispatcher) markNDI(t int, u *uop.UOp) {
 // thread per cycle, when the buffer head is an NDI.
 //
 //smt:hotpath
-func (d *Dispatcher) samplePiled(t int, rf *regfile.File) {
+func (d *Dispatcher) samplePiled(t int) {
 	buf := &d.bufs[t]
 	for j := 1; j < buf.Len(); j++ {
 		d.stats.PiledSampled++
-		if d.srcNotReady(buf.At(j), rf) <= 1 {
+		if int(d.bank.NotReady[buf.At(j).ID]) <= 1 {
 			d.stats.PiledHDI++
 		}
 	}
@@ -583,7 +562,7 @@ func (d *Dispatcher) dependsOnNDI(t int, u *uop.UOp) bool {
 // commitDispatch finalizes a dispatch into the IQ.
 //
 //smt:hotpath
-func (d *Dispatcher) commitDispatch(cycle int64, t int, u *uop.UOp, nonReady int, q *iq.Queue, rf *regfile.File, outOfOrder bool) {
+func (d *Dispatcher) commitDispatch(cycle int64, t int, u *uop.UOp, nonReady int, q *iq.Queue, outOfOrder bool) {
 	u.DispatchedAt = cycle
 	u.NonReadyAtDispatch = nonReady
 	if u.Dest.Valid() {
@@ -600,7 +579,7 @@ func (d *Dispatcher) commitDispatch(cycle int64, t int, u *uop.UOp, nonReady int
 			}
 		}
 	}
-	q.Insert(u, rf)
+	q.Insert(u)
 }
 
 // dispatchToDAB finalizes a capture into the deadlock-avoidance buffer.
@@ -641,12 +620,11 @@ func (d *Dispatcher) DrainThread(t int) (buffered, dab []*uop.UOp) {
 
 // CheckInvariants verifies the dispatch stage's structural contracts:
 // each thread's buffer holds renamed, undispatched instructions in
-// strict program order, and — in event-wakeup mode — the NDI/DI
-// classification every buffered instruction would receive from its
-// event-maintained not-ready counter agrees with a from-scratch
-// recomputation against the register file (the Figure 2 taxonomy redone
-// with fresh eyes each cycle). It returns an error describing the first
-// violation.
+// strict program order, and the NDI/DI classification every buffered
+// instruction would receive from its event-maintained not-ready counter
+// agrees with a from-scratch recomputation against the register file
+// (the Figure 2 taxonomy redone with fresh eyes each cycle). It returns
+// an error describing the first violation.
 func (d *Dispatcher) CheckInvariants(q *iq.Queue, rf *regfile.File) error {
 	for t := range d.bufs {
 		buf := &d.bufs[t]
@@ -664,17 +642,15 @@ func (d *Dispatcher) CheckInvariants(q *iq.Queue, rf *regfile.File) error {
 				return fmt.Errorf("core: thread %d buffer order broken at %d: gseq %d after %d", t, j, u.GSeq, prev)
 			}
 			prev = u.GSeq
-			if d.eventWakeup {
-				counter := int(d.bank.NotReady[u.ID])
-				polled := u.NumSrcNotReady(rf)
-				if counter != polled {
-					return fmt.Errorf("core: thread %d buffered gseq=%d pc=%#x counter says %d non-ready, register file says %d",
-						t, u.GSeq, u.Inst.PC, counter, polled)
-				}
-				if q.ClassSupported(counter) != q.ClassSupported(polled) {
-					return fmt.Errorf("core: thread %d gseq=%d NDI classification diverges (counter %d, polled %d)",
-						t, u.GSeq, counter, polled)
-				}
+			counter := int(d.bank.NotReady[u.ID])
+			polled := u.NumSrcNotReady(rf)
+			if counter != polled {
+				return fmt.Errorf("core: thread %d buffered gseq=%d pc=%#x counter says %d non-ready, register file says %d",
+					t, u.GSeq, u.Inst.PC, counter, polled)
+			}
+			if q.ClassSupported(counter) != q.ClassSupported(polled) {
+				return fmt.Errorf("core: thread %d gseq=%d NDI classification diverges (counter %d, polled %d)",
+					t, u.GSeq, counter, polled)
 			}
 		}
 	}

@@ -12,7 +12,9 @@ import (
 
 // rig is a dispatch-stage test rig: a dispatcher over real IQ, register
 // file, ROBs, and a shared uop bank, with helpers to fabricate renamed
-// instructions whose operand readiness is controlled directly.
+// instructions whose operand readiness is controlled directly. The
+// register file's tag broadcasts reach the bank counters and the queue
+// as in the pipeline.
 type rig struct {
 	t    *testing.T
 	bank *uop.Bank
@@ -25,22 +27,42 @@ type rig struct {
 
 const rigROBCap = 96
 
+// newRig builds a rig over a uniform queue of iqSize entries with the
+// policy's comparator count.
 func newRig(t *testing.T, policy Policy, iqSize, bufCap, threads int) *rig {
+	return newPartRig(t, policy, iq.Uniform(iqSize, policy.MaxNonReady()), bufCap, threads)
+}
+
+// newPartRig builds a rig over a mixed-comparator queue.
+func newPartRig(t *testing.T, policy Policy, part iq.Partition, bufCap, threads int) *rig {
 	bank := uop.NewBank(threads * rigROBCap)
 	r := &rig{
 		t:    t,
 		bank: bank,
 		d:    NewDispatcher(bank, policy, 8, bufCap, threads),
-		q:    iq.New(bank, iqSize, policy.MaxNonReady(), threads),
-		rf:   newRigRegfile(),
+		q:    iq.NewPartitioned(bank, part, threads),
+		rf:   regfile.New(256, 256),
 	}
+	r.rf.AttachWakeup(bank.Cap(), bank.NotReady, func(id int32) {
+		r.q.UOpReady(bank.Get(id))
+	})
 	for i := 0; i < threads; i++ {
 		r.robs = append(r.robs, rob.New(bank, int32(i*rigROBCap), rigROBCap))
 	}
 	return r
 }
 
-func newRigRegfile() *regfile.File { return regfile.New(256, 256) }
+// watch subscribes u to its pending sources and sets its not-ready
+// counter, as rename does.
+func (r *rig) watch(u *uop.UOp) {
+	nr := int8(0)
+	for _, s := range u.Srcs {
+		if r.rf.Watch(s, u.ID) {
+			nr++
+		}
+	}
+	r.bank.NotReady[u.ID] = nr
+}
 
 // add fabricates a renamed instruction for thread t with the given
 // number of non-ready source operands, allocates its ROB entry, and
@@ -59,6 +81,7 @@ func (r *rig) add(t int, nonReady int) *uop.UOp {
 		u.Srcs[i] = p
 	}
 	u.Dest = r.rf.Alloc(isa.IntReg)
+	r.watch(u)
 	r.d.Buffer(t).Push(u)
 	return u
 }
@@ -76,6 +99,7 @@ func (r *rig) addDep(t int, producer *uop.UOp) *uop.UOp {
 	r.rf.SetReady(p)
 	u.Srcs[1] = p
 	u.Dest = r.rf.Alloc(isa.IntReg)
+	r.watch(u)
 	r.d.Buffer(t).Push(u)
 	return u
 }

@@ -4,25 +4,7 @@ import (
 	"testing"
 
 	"smtsim/internal/iq"
-	"smtsim/internal/rob"
-	"smtsim/internal/uop"
 )
-
-// newPartRig builds a rig over a mixed-comparator queue.
-func newPartRig(t *testing.T, policy Policy, part iq.Partition, bufCap, threads int) *rig {
-	bank := uop.NewBank(threads * rigROBCap)
-	r := &rig{
-		t:    t,
-		bank: bank,
-		d:    NewDispatcher(bank, policy, 8, bufCap, threads),
-		q:    iq.NewPartitioned(bank, part, threads),
-		rf:   newRigRegfile(),
-	}
-	for i := 0; i < threads; i++ {
-		r.robs = append(r.robs, rob.New(bank, int32(i*rigROBCap), rigROBCap))
-	}
-	return r
-}
 
 func TestTagElimUsesSmallestSufficientEntry(t *testing.T) {
 	// 2 zero-cmp, 2 one-cmp, 2 two-cmp entries.

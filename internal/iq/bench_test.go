@@ -28,7 +28,7 @@ func BenchmarkInsertRemove(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, u := range us {
-			q.Insert(u, rf)
+			q.Insert(u)
 		}
 		for _, u := range us {
 			q.Remove(u)
@@ -36,12 +36,36 @@ func BenchmarkInsertRemove(b *testing.B) {
 	}
 }
 
-// BenchmarkReadySelect measures oldest-first selection over a full
-// 64-entry queue with half the entries ready — the per-cycle issue cost.
-func BenchmarkReadySelect(b *testing.B) {
+// wiredQueue builds a 64-entry, 4-thread queue over a 64-record bank
+// and a register file wired for wakeup the way the pipeline wires them:
+// tag broadcasts decrement the bank's not-ready counters and hand
+// zero-crossings to the queue.
+func wiredQueue() (*Queue, *uop.Bank, *regfile.File) {
 	bank := uop.NewBank(64)
 	rf := regfile.New(256, 256)
 	q := New(bank, 64, 2, 4)
+	rf.AttachWakeup(bank.Cap(), bank.NotReady, func(id int32) {
+		q.UOpReady(bank.Get(id))
+	})
+	return q, bank, rf
+}
+
+// watchSrcs subscribes u to its pending sources and sets its not-ready
+// counter, as rename does.
+func watchSrcs(bank *uop.Bank, rf *regfile.File, u *uop.UOp) {
+	nr := int8(0)
+	for _, s := range u.Srcs {
+		if rf.Watch(s, u.ID) {
+			nr++
+		}
+	}
+	bank.NotReady[u.ID] = nr
+}
+
+// BenchmarkReadySelect measures oldest-first selection over a full
+// 64-entry queue with half the entries ready — the per-cycle issue cost.
+func BenchmarkReadySelect(b *testing.B) {
+	q, bank, rf := wiredQueue()
 	for i := 0; i < 64; i++ {
 		p := rf.Alloc(isa.IntReg)
 		if i%2 == 0 {
@@ -51,79 +75,57 @@ func BenchmarkReadySelect(b *testing.B) {
 		u.Thread = i % 4
 		u.GSeq = uint64(i + 1)
 		u.Srcs = [2]regfile.PhysRef{p, regfile.NoPhys}
-		q.Insert(u, rf)
+		watchSrcs(bank, rf, u)
+		q.Insert(u)
 	}
 	var scratch []int32
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		scratch = q.ReadyOldestFirst(rf, scratch)
+		scratch = q.ReadyOldestFirst(scratch)
 	}
 }
 
 // BenchmarkIQWakeup measures the full wakeup chain for one batch of 64
-// dependent instructions — dispatch, tag broadcast, selection, issue —
-// under both disciplines. In event mode the broadcast walks the
-// register's consumer bitmap, decrements each watcher's bank counter,
-// and moves zero-counter entries onto the ready list; in polling mode
-// the broadcast is a bit flip and selection re-scans and re-sorts the
-// queue.
+// dependent instructions — dispatch, tag broadcast, selection, issue.
+// The broadcast walks the register's consumer bitmap, decrements each
+// watcher's bank counter, and moves zero-counter entries onto the ready
+// list.
 func BenchmarkIQWakeup(b *testing.B) {
-	for _, mode := range []struct {
-		name  string
-		event bool
-	}{{"event", true}, {"polling", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			bank := uop.NewBank(64)
-			rf := regfile.New(256, 256)
-			q := New(bank, 64, 2, 4)
-			q.SetEventWakeup(mode.event)
-			if mode.event {
-				rf.AttachWakeup(bank.Cap(), bank.NotReady, func(id int32) {
-					q.UOpReady(bank.Get(id))
-				})
-			}
-			us := make([]*uop.UOp, 64)
-			regs := make([]regfile.PhysRef, 64)
-			for i := range us {
-				us[i] = bank.Get(int32(i))
-			}
-			var scratch []int32
-			gseq := uint64(1)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for j, u := range us {
-					p := rf.Alloc(isa.IntReg)
-					regs[j] = p
-					u.Thread = j % 4
-					u.GSeq = gseq
-					gseq++
-					u.Srcs[0] = p
-					if mode.event {
-						nr := int8(0)
-						if rf.Watch(p, u.ID) {
-							nr = 1
-						}
-						bank.NotReady[u.ID] = nr
-					}
-					q.Insert(u, rf)
-				}
-				for _, p := range regs {
-					rf.SetReady(p) // the tag broadcast
-				}
-				scratch = q.ReadyOrdered(rf, scratch, OldestFirst, 0)
-				if len(scratch) != len(us) {
-					b.Fatalf("ready %d, want %d", len(scratch), len(us))
-				}
-				for _, id := range scratch {
-					q.Remove(bank.Get(id))
-				}
-				for _, p := range regs {
-					rf.Free(p)
-				}
-			}
-		})
+	q, bank, rf := wiredQueue()
+	us := make([]*uop.UOp, 64)
+	regs := make([]regfile.PhysRef, 64)
+	for i := range us {
+		us[i] = bank.Get(int32(i))
+	}
+	var scratch []int32
+	gseq := uint64(1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j, u := range us {
+			p := rf.Alloc(isa.IntReg)
+			regs[j] = p
+			u.Thread = j % 4
+			u.GSeq = gseq
+			gseq++
+			u.Srcs[0] = p
+			watchSrcs(bank, rf, u)
+			q.Insert(u)
+		}
+		for _, p := range regs {
+			rf.SetReady(p) // the tag broadcast
+		}
+		scratch = q.ReadyOrdered(scratch, OldestFirst, 0)
+		if len(scratch) != len(us) {
+			b.Fatalf("ready %d, want %d", len(scratch), len(us))
+		}
+		for _, id := range scratch {
+			q.Remove(bank.Get(id))
+		}
+		for _, p := range regs {
+			rf.Free(p)
+		}
 	}
 }
 
@@ -148,7 +150,7 @@ func BenchmarkIQRemove(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, u := range us {
-			q.Insert(u, rf)
+			q.Insert(u)
 		}
 		for _, u := range us {
 			q.Remove(u)

@@ -22,7 +22,6 @@ package iq
 
 import (
 	"fmt"
-	"sort"
 
 	"smtsim/internal/regfile"
 	"smtsim/internal/uop"
@@ -57,16 +56,14 @@ type readyEnt struct {
 
 // Queue is the shared issue queue.
 //
-// The queue supports two wakeup disciplines. In the legacy polling mode
-// (the default for a bare Queue, kept for the differential cross-check
-// and for tests that build entries by hand), ReadyOrdered re-scans every
-// entry against the register file each call. In event-driven mode
-// (SetEventWakeup, what the pipeline uses) the queue mirrors a hardware
-// tag-broadcast CAM: each entry's not-ready operand counter lives in the
-// uop bank and is maintained by the register file's consumer bitmaps,
-// and entries whose counter hits zero move onto an age-ordered ready
-// list at broadcast time, so selection pops from an already-sorted list
-// and never rescans the queue.
+// Wakeup mirrors a hardware tag-broadcast CAM: each entry's not-ready
+// operand counter lives in the uop bank and is maintained by the
+// register file's consumer bitmaps, and entries whose counter hits zero
+// move onto an age-ordered ready list at broadcast time, so selection
+// pops from an already-sorted list and never rescans the queue. Callers
+// must set the bank's NotReady counter before Insert (the pipeline does
+// this at rename via regfile.Watch) and route zero-crossing broadcasts
+// to UOpReady.
 type Queue struct {
 	bank      *uop.Bank
 	part      Partition
@@ -79,19 +76,17 @@ type Queue struct {
 	// compare, not a class scan).
 	maxClass int
 
-	// event selects event-driven wakeup; ready is the incrementally
-	// maintained ready list, ascending by seq (oldest first).
-	event bool
+	// ready is the incrementally maintained ready list, ascending by seq
+	// (oldest first).
 	ready []readyEnt
 
-	// Statistics. The occupancy statistic runs in one of two modes:
-	// legacy per-cycle sampling (Sample/SampleIdle, kept for standalone
-	// queues built by tests) or — when occNow is bound to the core's
-	// cycle counter — O(1) incremental integration: occupancy is
-	// piecewise constant between queue mutations, so every mutation first
-	// settles the elapsed span at the old occupancy (settle), and nothing
-	// at all runs on cycles that leave the queue untouched. Both modes
-	// accumulate the same integers, so the mean is bit-identical.
+	// Statistics. Once occNow is bound to the caller's cycle counter
+	// (BindCycleCounter), the occupancy statistic is integrated in O(1)
+	// per mutation: occupancy is piecewise constant between queue
+	// mutations, so every mutation first settles the elapsed span at the
+	// old occupancy (settle), and nothing at all runs on cycles that
+	// leave the queue untouched. The integral equals a per-cycle sum of
+	// end-of-cycle occupancies.
 	Inserts      uint64
 	occupancySum uint64
 	samples      uint64
@@ -136,33 +131,6 @@ func NewPartitioned(bank *uop.Bank, part Partition, threads int) *Queue {
 		perThread: make([]int, threads),
 		maxClass:  maxClass,
 	}
-}
-
-// SetEventWakeup switches between event-driven wakeup (true) and the
-// legacy per-cycle polling (false). In event mode, callers must maintain
-// the bank's NotReady counter before Insert (the pipeline does this at
-// rename via regfile.Watch) and route zero-crossing broadcasts to
-// UOpReady; the queue then keeps its ready list current. Must be called
-// while the queue is empty.
-func (q *Queue) SetEventWakeup(on bool) {
-	if len(q.entries) > 0 {
-		panic("iq: cannot switch wakeup mode with entries in flight")
-	}
-	q.event = on
-}
-
-// EventWakeup reports the active wakeup discipline.
-func (q *Queue) EventWakeup() bool { return q.event }
-
-// srcNotReady returns u's non-ready source count under the active mode:
-// the bank's event-maintained counter, or a register-file poll.
-//
-//smt:hotpath
-func (q *Queue) srcNotReady(u *uop.UOp, rf *regfile.File) int {
-	if q.event {
-		return int(q.bank.NotReady[u.ID])
-	}
-	return u.NumSrcNotReady(rf)
 }
 
 // Cap returns the total number of entries.
@@ -215,14 +183,16 @@ func (q *Queue) ClassUsed(k int) int { return q.used[k] }
 func (q *Queue) ThreadCount(t int) int { return q.perThread[t] }
 
 // Insert places a dispatched instruction into the smallest free entry
-// class that fits its current non-ready source count. It panics if no
-// suitable entry is available — the dispatch policies gate on CanAccept,
-// so a violation is a policy bug (hunted by the property tests).
+// class that fits its current non-ready source count (its bank NotReady
+// counter); an instruction with none joins the ready list at once. It
+// panics if no suitable entry is available — the dispatch policies gate
+// on CanAccept, so a violation is a policy bug (hunted by the property
+// tests).
 //
 //smt:hotpath
-func (q *Queue) Insert(u *uop.UOp, rf *regfile.File) {
+func (q *Queue) Insert(u *uop.UOp) {
 	q.settle()
-	n := q.srcNotReady(u, rf)
+	n := int(q.bank.NotReady[u.ID])
 	for k := n; k < NumClasses; k++ {
 		if q.used[k] < q.part[k] {
 			q.used[k]++
@@ -232,7 +202,7 @@ func (q *Queue) Insert(u *uop.UOp, rf *regfile.File) {
 			q.entries = append(q.entries, u.ID)
 			q.perThread[u.Thread]++
 			q.Inserts++
-			if q.event && n == 0 {
+			if n == 0 {
 				q.wake(u)
 			}
 			return
@@ -289,8 +259,8 @@ func (q *Queue) UOpReady(u *uop.UOp) {
 }
 
 // wake inserts u into the ready list, keeping it ascending by GSeq — the
-// incremental equivalent of the polling mode's sort-by-age. The list is
-// small (bounded by the issue-ready set, not the queue), so a binary
+// incremental equivalent of sorting the ready entries by age. The list
+// is small (bounded by the issue-ready set, not the queue), so a binary
 // search plus a memmove beats re-sorting every cycle.
 //
 //smt:hotpath
@@ -357,8 +327,8 @@ func (p SelectPolicy) String() string {
 // policy. The returned slice is valid until the next call.
 //
 //smt:hotpath
-func (q *Queue) ReadyOldestFirst(rf *regfile.File, scratch []int32) []int32 {
-	return q.ReadyOrdered(rf, scratch, OldestFirst, 0)
+func (q *Queue) ReadyOldestFirst(scratch []int32) []int32 {
+	return q.ReadyOrdered(scratch, OldestFirst, 0)
 }
 
 // ReadyOrdered returns the ready instructions' ids in the order the
@@ -367,11 +337,7 @@ func (q *Queue) ReadyOldestFirst(rf *regfile.File, scratch []int32) []int32 {
 // scratch so the caller may issue (and Remove) while iterating.
 //
 //smt:hotpath
-func (q *Queue) ReadyOrdered(rf *regfile.File, scratch []int32, pol SelectPolicy, tick int64) []int32 {
-	if !q.event {
-		//smt:allow-alloc — polled-mode fallback only: sort.Slice boxes its argument (see readyPolled doc); the event-driven path is the measured steady state
-		return q.readyPolled(rf, scratch, pol, tick)
-	}
+func (q *Queue) ReadyOrdered(scratch []int32, pol SelectPolicy, tick int64) []int32 {
 	out := scratch[:0]
 	if pol == ThreadRotate && len(q.perThread) > 1 {
 		// Threads visited in rotating sequence from this tick's first
@@ -394,44 +360,6 @@ func (q *Queue) ReadyOrdered(rf *regfile.File, scratch []int32, pol SelectPolicy
 		out = append(out, e.id)
 	}
 	return out
-}
-
-// readyPolled is ReadyOrdered for the legacy polling mode: re-scan every
-// entry against the register file and sort. Kept for the differential
-// cross-check; it is off the zero-alloc hot path (sort.Slice boxes its
-// argument and allocates the comparator closure), which is why it lives
-// outside the //smt:hotpath annotation.
-//
-//smt:trusted-id — scans q.entries and its own ready subset; both hold only resident ids
-func (q *Queue) readyPolled(rf *regfile.File, scratch []int32, pol SelectPolicy, tick int64) []int32 {
-	ready := scratch[:0]
-	for _, id := range q.entries {
-		if q.bank.Get(id).SrcsReady(rf) {
-			ready = append(ready, id)
-		}
-	}
-	switch pol {
-	case ThreadRotate:
-		n := len(q.perThread)
-		if n == 0 {
-			n = 1
-		}
-		first := int(tick % int64(n))
-		sort.Slice(ready, func(i, j int) bool {
-			ui, uj := q.bank.Get(ready[i]), q.bank.Get(ready[j])
-			a := (ui.Thread - first + n) % n
-			b := (uj.Thread - first + n) % n
-			if a != b {
-				return a < b
-			}
-			return ui.GSeq < uj.GSeq
-		})
-	default:
-		sort.Slice(ready, func(i, j int) bool {
-			return q.bank.Get(ready[i]).GSeq < q.bank.Get(ready[j]).GSeq
-		})
-	}
-	return ready
 }
 
 // DrainThread removes and returns every entry belonging to thread t
@@ -458,12 +386,12 @@ func (q *Queue) DrainThread(t int) []*uop.UOp {
 	return out
 }
 
-// BindCycleCounter switches the occupancy statistic to incremental
-// integration against the caller's cycle counter: every queue mutation
+// BindCycleCounter turns on the occupancy statistic, integrated
+// incrementally against the caller's cycle counter: every queue mutation
 // settles the span since the last one at the then-current occupancy, so
-// per-cycle Sample calls disappear from the cycle path. now must outlive
-// the queue and advance monotonically. Call before the first cycle;
-// Sample/SampleIdle become invalid afterwards.
+// no per-cycle sampling call is needed. now must outlive the queue and
+// advance monotonically. Call before the first cycle; an unbound queue
+// records no occupancy.
 func (q *Queue) BindCycleCounter(now *int64) {
 	if len(q.entries) > 0 {
 		panic("iq: cannot bind a cycle counter with entries in flight")
@@ -475,7 +403,7 @@ func (q *Queue) BindCycleCounter(now *int64) {
 // settle integrates the occupancy statistic through the end of the cycle
 // before the current one; callers invoke it before any mutation of the
 // entry set, while the occupancy still reflects every fully elapsed
-// cycle. No-op for unbound (legacy-sampling) queues.
+// cycle. No-op for an unbound queue.
 //
 //smt:hotpath
 func (q *Queue) settle() {
@@ -496,32 +424,9 @@ func (q *Queue) settleTo(c int64) {
 	}
 }
 
-// Sample accumulates an occupancy observation; call once per cycle
-// (legacy mode only — a bound queue integrates incrementally).
-//
-//smt:hotpath
-func (q *Queue) Sample() {
-	if q.occNow != nil {
-		panic("iq: Sample on a queue bound to a cycle counter")
-	}
-	q.occupancySum += uint64(len(q.entries))
-	q.samples++
-}
-
-// SampleIdle accumulates k occupancy observations at the current
-// occupancy in one step (legacy mode only — a bound queue integrates
-// skipped spans by itself).
-func (q *Queue) SampleIdle(k int64) {
-	if q.occNow != nil {
-		panic("iq: SampleIdle on a queue bound to a cycle counter")
-	}
-	q.occupancySum += uint64(k) * uint64(len(q.entries))
-	q.samples += uint64(k)
-}
-
-// ResetStats clears the sampling counters without touching queue
-// contents, for measurement after a warmup period. A bound queue's
-// integration restarts at the current cycle — the caller resets at the
+// ResetStats clears the statistics without touching queue contents, for
+// measurement after a warmup period. A bound queue's integration
+// restarts at the current cycle — the caller resets at the
 // end of a cycle, whose observation belongs to the warmup period.
 func (q *Queue) ResetStats() {
 	q.Inserts, q.occupancySum, q.samples = 0, 0, 0
@@ -530,10 +435,10 @@ func (q *Queue) ResetStats() {
 	}
 }
 
-// MeanOccupancy returns the average per-cycle occupancy: the mean of the
-// end-of-cycle samples in legacy mode, or the identical integral in
-// bound mode (settled through the current cycle first — callers read
-// results at cycle boundaries).
+// MeanOccupancy returns the average per-cycle end-of-cycle occupancy
+// since binding (or the last ResetStats), settled through the current
+// cycle first — callers read results at cycle boundaries. An unbound
+// queue reports 0.
 func (q *Queue) MeanOccupancy() float64 {
 	if q.occNow != nil {
 		q.settleTo(*q.occNow)
@@ -553,18 +458,18 @@ func (q *Queue) ForEach(fn func(*uop.UOp)) {
 	}
 }
 
-// ReadyLen returns the current ready-list length (event-wakeup mode).
+// ReadyLen returns the current ready-list length.
 func (q *Queue) ReadyLen() int { return len(q.ready) }
 
 // CheckInvariants verifies the queue's structural contracts against the
 // register file: occupancy accounting (per-class and per-thread counts
 // match the entries), back-index integrity, entry-class sufficiency
 // (every resident sits in an entry with enough tag comparators for its
-// current non-ready source count), and — in event-wakeup mode — that
-// every entry's bank not-ready counter matches a from-scratch register-
-// file poll and that the incremental ready list is exactly the
-// age-sorted set of entries whose counters reached zero. Returns an
-// error describing the first violation.
+// current non-ready source count), that every entry's bank not-ready
+// counter matches a from-scratch register-file poll, and that the
+// incremental ready list is exactly the age-sorted set of entries whose
+// counters reached zero. Returns an error describing the first
+// violation.
 //
 //smt:trusted-id — invariant sweep over q.entries and q.ready; residency itself is what it verifies
 func (q *Queue) CheckInvariants(rf *regfile.File) error {
@@ -591,18 +496,16 @@ func (q *Queue) CheckInvariants(rf *regfile.File) error {
 			return fmt.Errorf("iq: entry gseq=%d has %d non-ready sources in a %d-comparator entry",
 				u.GSeq, polled, u.IQClass)
 		}
-		if q.event {
-			counter := q.bank.NotReady[u.ID]
-			if int(counter) != polled {
-				return fmt.Errorf("iq: entry gseq=%d pc=%#x counter says %d non-ready, register file says %d",
-					u.GSeq, u.Inst.PC, counter, polled)
-			}
-			if counter == 0 && !u.InReady {
-				return fmt.Errorf("iq: entry gseq=%d is ready but missing from the ready list", u.GSeq)
-			}
-			if counter > 0 && u.InReady {
-				return fmt.Errorf("iq: entry gseq=%d on the ready list with %d pending sources", u.GSeq, counter)
-			}
+		counter := q.bank.NotReady[u.ID]
+		if int(counter) != polled {
+			return fmt.Errorf("iq: entry gseq=%d pc=%#x counter says %d non-ready, register file says %d",
+				u.GSeq, u.Inst.PC, counter, polled)
+		}
+		if counter == 0 && !u.InReady {
+			return fmt.Errorf("iq: entry gseq=%d is ready but missing from the ready list", u.GSeq)
+		}
+		if counter > 0 && u.InReady {
+			return fmt.Errorf("iq: entry gseq=%d on the ready list with %d pending sources", u.GSeq, counter)
 		}
 	}
 	for k := 0; k < NumClasses; k++ {
@@ -618,23 +521,19 @@ func (q *Queue) CheckInvariants(rf *regfile.File) error {
 			return fmt.Errorf("iq: thread %d occupancy count %d, actual %d", t, q.perThread[t], perThread[t])
 		}
 	}
-	if q.event {
-		for i, e := range q.ready {
-			u := q.bank.Get(e.id)
-			if !u.InIQ || !u.InReady {
-				return fmt.Errorf("iq: ready list holds gseq=%d with InIQ=%t InReady=%t", e.seq, u.InIQ, u.InReady)
-			}
-			if u.GSeq != e.seq || int32(u.Thread) != e.thread {
-				return fmt.Errorf("iq: ready list entry %d denormalized as (seq=%d thread=%d), uop says (seq=%d thread=%d)",
-					i, e.seq, e.thread, u.GSeq, u.Thread)
-			}
-			if i > 0 && q.ready[i-1].seq >= e.seq {
-				return fmt.Errorf("iq: ready list out of age order at %d (gseq %d >= %d)",
-					i, q.ready[i-1].seq, e.seq)
-			}
+	for i, e := range q.ready {
+		u := q.bank.Get(e.id)
+		if !u.InIQ || !u.InReady {
+			return fmt.Errorf("iq: ready list holds gseq=%d with InIQ=%t InReady=%t", e.seq, u.InIQ, u.InReady)
 		}
-	} else if len(q.ready) > 0 {
-		return fmt.Errorf("iq: polling mode with %d ready-list entries", len(q.ready))
+		if u.GSeq != e.seq || int32(u.Thread) != e.thread {
+			return fmt.Errorf("iq: ready list entry %d denormalized as (seq=%d thread=%d), uop says (seq=%d thread=%d)",
+				i, e.seq, e.thread, u.GSeq, u.Thread)
+		}
+		if i > 0 && q.ready[i-1].seq >= e.seq {
+			return fmt.Errorf("iq: ready list out of age order at %d (gseq %d >= %d)",
+				i, q.ready[i-1].seq, e.seq)
+		}
 	}
 	return nil
 }

@@ -122,15 +122,6 @@ type Config struct {
 	// uses to share an L2 between cores.
 	Hierarchy *cache.Hierarchy
 
-	// PollingWakeup selects the legacy per-cycle polling wakeup: issue
-	// re-scans every IQ entry against the register file each cycle, and
-	// NDI/HDI classification re-polls operand readiness. The default
-	// (false) is event-driven wakeup — register writeback broadcasts to
-	// per-register consumer lists, which is O(width) per cycle instead of
-	// O(IQ·sources). The two produce bit-identical simulations (see
-	// DESIGN.md §5); the flag exists for the differential cross-check.
-	PollingWakeup bool
-
 	// MaxCycles caps the simulation as a safety net (0 = default cap).
 	MaxCycles int64
 	// StallLimit is the no-commit cycle count treated as a deadlock by

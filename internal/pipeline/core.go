@@ -174,9 +174,6 @@ type Core struct {
 	sanErr   error
 	sanPanic bool
 
-	// eventWakeup mirrors !cfg.PollingWakeup: writeback broadcasts to
-	// per-register consumer bitmaps instead of the scheduler re-polling.
-	eventWakeup bool
 	// runnableFn/icountFn are the fetch-policy callbacks, built once so
 	// fetch() does not allocate two closures every cycle.
 	runnableFn func(int) bool
@@ -194,14 +191,15 @@ type Core struct {
 	// nothing and none of its inputs (buffers, readiness counters, IQ
 	// and DAB occupancy, ROB heads) changed since: the next dispatch
 	// cycle would rescan identical state to the identical outcome, so
-	// the step replays its accounting instead (event-wakeup mode only;
-	// the polling path stays a plain per-cycle loop as the differential
-	// reference). It is the dispatch stage's gate in stepGated.
+	// the step replays its accounting instead. It is the dispatch
+	// stage's gate in stepGated, and the sanitized plain walk applies it
+	// too.
 	dispFrozen bool
 
-	// forcePlain routes stepCycle through the ungated stage walk even in
-	// event-wakeup mode; the gating differential tests set it to produce
-	// the reference run.
+	// forcePlain makes the core the plain reference: every stage runs
+	// every cycle, with no predicate cross-check, no dispatch freeze and
+	// no fastForward. The differential tests set it to produce the run
+	// the fast machine must match bit for bit.
 	forcePlain bool
 
 	// Statistics baselines, set by Warmup so measurement excludes the
@@ -250,23 +248,17 @@ func New(cfg Config, specs []ThreadSpec) (*Core, error) {
 		c.hier = cache.DefaultHierarchy()
 	}
 	c.l1iLineMask = ^uint64(c.hier.L1I.Config().LineSize - 1)
-	// Both wakeup modes integrate IQ occupancy incrementally against the
-	// cycle counter (bit-identical to per-cycle sampling, so the
-	// event/polling differential holds), which removes the end-of-cycle
-	// Sample call from the cycle path.
+	// The queue integrates its occupancy against the cycle counter
+	// (bit-identical to per-cycle sampling), so no end-of-cycle sampling
+	// call sits on the cycle path.
 	c.q.BindCycleCounter(&c.cycle)
-	c.eventWakeup = !cfg.PollingWakeup
-	if c.eventWakeup {
-		c.q.SetEventWakeup(true)
-		c.disp.SetEventWakeup(true)
-		// Wire the tag-broadcast sink: SetReady decrements the bank's
-		// not-ready counters through the consumer bitmaps and notifies
-		// the scheduler when an operand count reaches zero.
-		c.rf.AttachWakeup(bank.Cap(), bank.NotReady, func(id int32) {
-			//smt:trusted-id — SetReady fires only for ids on a consumer watch list, pruned on squash/commit before the slot recycles
-			c.q.UOpReady(bank.Get(id))
-		})
-	}
+	// Wire the tag-broadcast sink: SetReady decrements the bank's
+	// not-ready counters through the consumer bitmaps and notifies the
+	// scheduler when an operand count reaches zero.
+	c.rf.AttachWakeup(bank.Cap(), bank.NotReady, func(id int32) {
+		//smt:trusted-id — SetReady fires only for ids on a consumer watch list, pruned on squash/commit before the slot recycles
+		c.q.UOpReady(bank.Get(id))
+	})
 	c.runnableFn = func(t int) bool {
 		ts := &c.threads[t]
 		return ts.blocked <= c.cycle && !ts.fetchQFull() && c.gateAllows(t)
@@ -309,14 +301,13 @@ func New(cfg Config, specs []ThreadSpec) (*Core, error) {
 	c.commitBase = make([]uint64, n)
 	if cfg.Sanitize || testSanitize {
 		c.san = simsan.New(simsan.Machine{
-			EventWakeup: c.eventWakeup,
-			Bank:        c.bank,
-			RF:          c.rf,
-			IQ:          c.q,
-			Disp:        c.disp,
-			ROBs:        c.robs,
-			RATs:        c.rats,
-			LSQs:        c.lsqs,
+			Bank: c.bank,
+			RF:   c.rf,
+			IQ:   c.q,
+			Disp: c.disp,
+			ROBs: c.robs,
+			RATs: c.rats,
+			LSQs: c.lsqs,
 		})
 		// Violations inside the test suite fail-stop at the offending
 		// cycle; explicitly requested sanitizing reports through Run.
@@ -469,7 +460,7 @@ func (c *Core) Run(maxCommit uint64) (metrics.Results, error) {
 			return c.Results(), fmt.Errorf("pipeline: cycle cap %d reached with %d committed",
 				maxCycles, c.totalCommitted())
 		}
-		if quiet && c.eventWakeup {
+		if quiet && !c.forcePlain {
 			// Bound the jump so the deadlock and cycle-cap checks above
 			// still fire at exactly the cycle a plain loop reaches them.
 			limit := c.lastCommitCycle + stallLimit + 1
@@ -493,17 +484,17 @@ func (c *Core) Step() { c.stepCycle() }
 // fetch. Run uses a quiescent cycle as the fast-forward trigger (see
 // fastForward).
 //
-// Two bodies implement it. An unsanitized event-wakeup core steps
-// through stepGated, which skips writeback, issue and dispatch on cycles
-// their O(1) predicates prove idle. Every other core — polling,
-// forcePlain, or any core with a sanitizer attached — steps through
-// stepPlain, the ungated reference walk; on a sanitized gated core the
-// plain walk also cross-checks stepGated's predicates each cycle, so the
-// whole sanitized test suite differentially validates the gating.
+// Two bodies implement it. An unsanitized core steps through stepGated,
+// which skips writeback, issue and dispatch on cycles their O(1)
+// predicates prove idle. A forcePlain core or one with a sanitizer
+// attached steps through stepPlain, which runs every stage every cycle;
+// on a sanitized core the plain walk also cross-checks stepGated's
+// predicates each cycle, so the whole sanitized test suite
+// differentially validates the gating.
 //
 //smt:hotpath
 func (c *Core) stepCycle() bool {
-	if c.san == nil && c.eventWakeup && !c.forcePlain {
+	if c.san == nil && !c.forcePlain {
 		return c.stepGated()
 	}
 	return c.stepPlain()
@@ -550,19 +541,20 @@ func (c *Core) stepGated() bool {
 		!fired && renamed == 0 && !fetchable
 }
 
-// stepPlain is the ungated reference walk: every stage runs every cycle.
-// It is the polling mode's step, the gating differential tests'
-// reference (forcePlain), and the sanitizer's step. On a sanitized core
-// that would otherwise step gated, it evaluates stepGated's writeback
-// and issue predicates at exactly the point stepGated consults
-// them: a predicate that says "idle" while its stage performs work would
-// have made stepGated skip real work, and is reported through the
-// sanitizer error channel the same cycle.
+// stepPlain is the ungated walk: every stage but a frozen dispatch runs
+// every cycle. It is the sanitizer's step and, with forcePlain, the
+// plain reference the differential tests compare against. On a
+// sanitized core it evaluates stepGated's writeback and issue
+// predicates at exactly the point stepGated consults them: a predicate
+// that says "idle" while its stage performs work would have made
+// stepGated skip real work, and is reported through the sanitizer error
+// channel the same cycle. It applies the dispatch freeze like
+// stepGated, except on a forcePlain core, which never sets dispFrozen.
 //
 //smt:hotpath
 func (c *Core) stepPlain() bool {
 	c.cycle++
-	verify := c.san != nil && c.eventWakeup && !c.forcePlain
+	verify := c.san != nil && !c.forcePlain
 	dueWB := !verify || c.events.hasDue(c.cycle)
 	popped := c.writeback()
 	if !dueWB && popped != 0 {
@@ -586,7 +578,7 @@ func (c *Core) stepPlain() bool {
 		fired = true
 	}
 	renamed := c.rename()
-	c.dispFrozen = c.eventWakeup && dispatched == 0 && !fired && renamed == 0
+	c.dispFrozen = !c.forcePlain && dispatched == 0 && !fired && renamed == 0
 	fetchable := c.fetch()
 	if c.san != nil {
 		c.sanitize()
@@ -611,18 +603,20 @@ func (c *Core) horizonFail(stage string, work int) {
 }
 
 // fastForward runs after a quiescent cycle: with no due completions, an
-// empty ready list and DAB, no completed ROB head, and no thread able to
-// fetch or rename, every following cycle is an exact replay of the one
-// just executed until some stimulus arrives — the next completion event,
-// a fetch-block or redirect expiry, a fetch-queue head reaching its
-// rename-ready cycle, or the watchdog expiry. The machine therefore
-// jumps to the cycle before the earliest stimulus (also bounded by
-// `limit`, the caller's deadlock/cycle-cap deadline) and replays the
-// skipped cycles' only state: the occupancy sample, the dispatcher's
-// stall accounting, the watchdog countdown, and the four round-robin
-// rotations. Event-wakeup mode only — the polling path stays a plain
-// cycle loop so the differential tests compare against an independent
-// reference.
+// empty ready list and DAB, and no thread able to fetch or rename, every
+// following cycle is an exact replay of the one just executed until some
+// stimulus arrives — the next completion event, a fetch-block or
+// redirect expiry, a fetch-queue head reaching its rename-ready cycle, or
+// the watchdog expiry. No ROB head is complete: the quiet cycle committed
+// nothing although commit retires completed heads while its budget
+// lasts, and only writeback, which runs before commit, completes
+// instructions. The machine therefore jumps to the cycle before the
+// earliest stimulus (also bounded by `limit`, the caller's
+// deadlock/cycle-cap deadline) and replays the skipped cycles' only
+// state: the dispatcher's stall accounting, the watchdog countdown, and
+// the four round-robin rotations (the queue's occupancy integral follows
+// the cycle counter by itself). A forcePlain core never fast-forwards:
+// it is the reference the jump is tested against.
 //
 //smt:hotpath
 func (c *Core) fastForward(limit int64) {
@@ -630,11 +624,6 @@ func (c *Core) fastForward(limit int64) {
 		// A waiting instruction retries issue every cycle against
 		// time-dependent conditions (FU frees, LSQ stores, MSHRs).
 		return
-	}
-	for _, r := range c.robs {
-		if u := r.Head(); u != nil && u.Completed {
-			return // commit stopped on budget, not on completion
-		}
 	}
 	next := limit
 	if due, ok := c.events.nextDue(c.cycle); ok && due < next {
@@ -780,7 +769,7 @@ func (c *Core) issue() int {
 		}
 		return issued
 	}
-	for _, id := range c.q.ReadyOrdered(c.rf, c.scratch, c.cfg.Select, c.cycle) {
+	for _, id := range c.q.ReadyOrdered(c.scratch, c.cfg.Select, c.cycle) {
 		if budget == 0 {
 			break
 		}
@@ -896,18 +885,16 @@ func (c *Core) rename() int {
 			ts.fetchQPop()
 			c.gseq++
 			c.rats[t].Rename(u)
-			if c.eventWakeup {
-				// Subscribe to each pending source's consumer bitmap; the
-				// counter equals NumSrcNotReady at this instant and every
-				// later tag broadcast keeps it in sync.
-				nr := int8(0)
-				for _, s := range u.Srcs {
-					if c.rf.Watch(s, u.ID) {
-						nr++
-					}
+			// Subscribe to each pending source's consumer bitmap; the
+			// counter equals NumSrcNotReady at this instant and every
+			// later tag broadcast keeps it in sync.
+			nr := int8(0)
+			for _, s := range u.Srcs {
+				if c.rf.Watch(s, u.ID) {
+					nr++
 				}
-				c.bank.NotReady[u.ID] = nr
 			}
+			c.bank.NotReady[u.ID] = nr
 			if isMem {
 				c.lsqs[t].Alloc(u)
 			}
@@ -1036,12 +1023,8 @@ func (c *Core) flushAll() {
 
 // unwatchSquashed drops a squashed uop's pending wakeup registrations
 // from the consumer bitmaps so its bank slot can be recycled without a
-// later broadcast decrementing the new occupant's counter. Idempotent;
-// no-op under polling wakeup (nothing ever watches).
+// later broadcast decrementing the new occupant's counter. Idempotent.
 func (c *Core) unwatchSquashed(u *uop.UOp) {
-	if !c.eventWakeup {
-		return
-	}
 	for _, s := range u.Srcs {
 		c.rf.Unwatch(s, u.ID)
 	}

@@ -54,26 +54,23 @@ func sanitizedCore(t *testing.T) (*Core, *uop.UOp) {
 
 // TestSanitizerCleanRun is the explicit form of what every test in this
 // package now checks implicitly: a correct machine sustains thousands of
-// sanitized cycles with zero violations, on both wakeup disciplines.
+// sanitized cycles with zero violations.
 func TestSanitizerCleanRun(t *testing.T) {
-	for _, polling := range []bool{false, true} {
-		cfg := DefaultConfig()
-		cfg.Policy = icore.TwoOpOOOD
-		cfg.Sanitize = true
-		cfg.PollingWakeup = polling
-		c, err := New(cfg, []ThreadSpec{
-			{Name: "equake", Reader: benchStream(t, "equake", 1)},
-			{Name: "gzip", Reader: benchStream(t, "gzip", 2)},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := c.Run(10_000); err != nil {
-			t.Errorf("polling=%t: sanitized run failed: %v", polling, err)
-		}
-		if got := len(c.Sanitizer().Violations()); got != 0 {
-			t.Errorf("polling=%t: %d violations on a correct machine", polling, got)
-		}
+	cfg := DefaultConfig()
+	cfg.Policy = icore.TwoOpOOOD
+	cfg.Sanitize = true
+	c, err := New(cfg, []ThreadSpec{
+		{Name: "equake", Reader: benchStream(t, "equake", 1)},
+		{Name: "gzip", Reader: benchStream(t, "gzip", 2)},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Run(10_000); err != nil {
+		t.Errorf("sanitized run failed: %v", err)
+	}
+	if got := len(c.Sanitizer().Violations()); got != 0 {
+		t.Errorf("%d violations on a correct machine", got)
 	}
 }
 

@@ -20,11 +20,13 @@ type commitRecord struct {
 	cycle  int64
 }
 
-// runCommitStream drives a 4-thread Table 1 mix to maxCommit commits on
-// a production (unsanitized) core built from cfg and returns the full
-// commit stream plus the final results. forcePlain selects the ungated
-// reference walk over the gated step.
-func runCommitStream(t *testing.T, cfg Config, forcePlain bool, maxCommit uint64) ([]commitRecord, metrics.Results) {
+// runCommitStream drives a 4-thread Table 1 mix on a production
+// (unsanitized) core built from cfg — through Warmup(warmup) when warmup
+// is non-zero, then to maxCommit measured commits — and returns the full
+// commit stream plus the final results. forcePlain selects the plain
+// reference over the gated step with its dispatch freeze and
+// fastForward.
+func runCommitStream(t *testing.T, cfg Config, forcePlain bool, warmup, maxCommit uint64) ([]commitRecord, metrics.Results) {
 	t.Helper()
 	c, err := New(cfg, []ThreadSpec{
 		{Name: "equake", Reader: benchStream(t, "equake", 11)},
@@ -41,6 +43,9 @@ func runCommitStream(t *testing.T, cfg Config, forcePlain bool, maxCommit uint64
 	c.SetCommitHook(func(u *uop.UOp) {
 		stream = append(stream, commitRecord{thread: u.Thread, pc: u.Inst.PC, gseq: u.GSeq, cycle: c.cycle})
 	})
+	if err := c.Warmup(warmup); err != nil {
+		t.Fatal(err)
+	}
 	res, err := c.Run(maxCommit)
 	if err != nil {
 		t.Fatal(err)
@@ -49,16 +54,19 @@ func runCommitStream(t *testing.T, cfg Config, forcePlain bool, maxCommit uint64
 }
 
 // TestGatingMatchesPlainWalk runs a long mixed workload twice per
-// machine variant — once through the gated step, once through the plain
-// every-stage walk — and requires bit-identical commit streams (thread,
-// PC, sequence number, and commit cycle of every instruction) and
-// identical statistics. This is the end-to-end differential proof that
-// stage gating never skips work: a stale predicate would shift at least
-// one commit cycle. The variants cover the three schedulers plus the
-// paths that rewrite state between gated stages: the watchdog flush
-// (and fastForward's watchdog-expiry bound), the STALL and FLUSH fetch
-// gates, the thread-rotating issue arbiter, a bounded MSHR file, and a
-// one-wide machine.
+// machine variant — once through the gated step with its dispatch
+// freeze and fastForward, once as the forcePlain reference, which runs
+// every stage every cycle — and requires bit-identical commit streams
+// (thread, PC, sequence number, and commit cycle of every instruction)
+// and identical statistics. This is the end-to-end differential proof
+// that stage gating, the dispatch replay and the quiet-cycle jump never
+// skip or invent work: a stale predicate or a missed rotation would
+// shift at least one commit cycle. The variants cover the three
+// schedulers plus the paths that rewrite state between gated stages:
+// the watchdog flush (and fastForward's watchdog-expiry bound), the
+// STALL and FLUSH fetch gates, the thread-rotating issue arbiter, a
+// bounded MSHR file, a one-wide machine, a 32-entry queue, and a warmup
+// whose statistics reset falls inside the run.
 // Where a variant's mechanism leaves a counter, the run must show it
 // fired, so the case cannot pass vacuously.
 func TestGatingMatchesPlainWalk(t *testing.T) {
@@ -77,6 +85,7 @@ func TestGatingMatchesPlainWalk(t *testing.T) {
 	cases := []struct {
 		name   string
 		mutate func(*Config)
+		warmup uint64
 		fired  func(metrics.Results) uint64 // nil: the variant leaves no counter
 	}{
 		{name: icore.TwoOpOOOD.String(), mutate: policy(icore.TwoOpOOOD)},
@@ -110,6 +119,14 @@ func TestGatingMatchesPlainWalk(t *testing.T) {
 			name:   "width-1",
 			mutate: ooo(func(c *Config) { c.Width = 1 }),
 		},
+		{name: "iq32", mutate: ooo(func(c *Config) { c.IQSize = 32 })},
+		{
+			// Warmup resets every statistic mid-run; quiet-cycle jumps on
+			// both sides of the reset must leave identical results.
+			name:   "warmup",
+			mutate: policy(icore.TwoOpOOOD),
+			warmup: 5_000,
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -117,8 +134,8 @@ func TestGatingMatchesPlainWalk(t *testing.T) {
 			const budget = 30_000
 			cfg := DefaultConfig()
 			tc.mutate(&cfg)
-			gated, gatedRes := runCommitStream(t, cfg, false, budget)
-			plain, plainRes := runCommitStream(t, cfg, true, budget)
+			gated, gatedRes := runCommitStream(t, cfg, false, tc.warmup, budget)
+			plain, plainRes := runCommitStream(t, cfg, true, tc.warmup, budget)
 			if len(gated) != len(plain) {
 				t.Fatalf("commit stream lengths diverge: gated %d, plain %d", len(gated), len(plain))
 			}

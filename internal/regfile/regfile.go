@@ -107,8 +107,7 @@ func New(intRegs, fpRegs int) *File {
 // installs the broadcast sink: notReady is the uop bank's not-ready
 // counter column, and onZero fires (from inside SetReady) for each
 // watched id whose counter reaches zero. Must be called before Watch;
-// event-driven pipelines call it once at construction. Polling pipelines
-// never watch, so they may skip it.
+// the pipeline calls it once at construction.
 func (f *File) AttachWakeup(bankCap int, notReady []int8, onZero func(id int32)) {
 	if bankCap <= 0 {
 		panic("regfile: wakeup bank size must be positive")

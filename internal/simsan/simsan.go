@@ -75,10 +75,6 @@ func (v Violation) Error() string {
 // The pipeline wires it up at construction; every slice is indexed by
 // hardware thread.
 type Machine struct {
-	// EventWakeup mirrors the core's wakeup discipline; counter and
-	// consumer-bitmap invariants only apply in event mode.
-	EventWakeup bool
-
 	Bank *uop.Bank
 	RF   *regfile.File
 	IQ   *iq.Queue
@@ -159,9 +155,7 @@ func (c *Checker) CheckCycle(cycle int64) error {
 	c.collectLive(cycle)
 	c.checkLocations(cycle)
 	c.checkDAB(cycle)
-	if c.m.EventWakeup {
-		c.checkWakeup(cycle)
-	}
+	c.checkWakeup(cycle)
 	c.checkRegisterConservation(cycle)
 	c.checkLSQs(cycle)
 
@@ -284,7 +278,7 @@ func (c *Checker) checkDAB(cycle int64) {
 		if n := u.NumSrcNotReady(c.m.RF); n != 0 {
 			c.addf(cycle, "dab-oldest-ready", t, u, "occupant has %d non-ready sources", n)
 		}
-		if c.m.EventWakeup && c.m.Bank.NotReady[u.ID] != 0 {
+		if c.m.Bank.NotReady[u.ID] != 0 {
 			c.addf(cycle, "dab-oldest-ready", t, u, "occupant's not-ready counter is %d", c.m.Bank.NotReady[u.ID])
 		}
 	}

@@ -6,8 +6,8 @@ package sweepd
 // construction — both paths execute sweep.SimulateSpec on canonicalized
 // specs, and Go's float64 JSON round-trip is exact — and these tests
 // keep it true as the wire format evolves. They extend the repo's
-// differential discipline (differential_test.go's event-vs-polling
-// cross-check) up one layer, to the distribution machinery.
+// differential discipline (the pipeline's gated-versus-plain cross-check)
+// up one layer, to the distribution machinery.
 
 import (
 	"testing"

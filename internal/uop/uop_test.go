@@ -29,12 +29,9 @@ func TestReadinessCounting(t *testing.T) {
 	if got := u.NumSrcNotReady(rf); got != 1 {
 		t.Errorf("NumSrcNotReady = %d, want 1", got)
 	}
-	if u.SrcsReady(rf) {
-		t.Error("SrcsReady true with a pending source")
-	}
 	rf.SetReady(a)
-	if !u.SrcsReady(rf) {
-		t.Error("SrcsReady false with all sources ready")
+	if got := u.NumSrcNotReady(rf); got != 0 {
+		t.Errorf("NumSrcNotReady = %d with all sources ready, want 0", got)
 	}
 	// Absent operands are trivially ready.
 	v := &UOp{Srcs: [isa.MaxSources]regfile.PhysRef{regfile.NoPhys, regfile.NoPhys}}

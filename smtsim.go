@@ -194,13 +194,6 @@ type Config struct {
 	// (0 = Table 1's 150). The cache geometries stay fixed.
 	MemoryLatency int
 
-	// PollingWakeup selects the legacy per-cycle polling scheduler
-	// wakeup instead of the event-driven tag broadcast. The two are
-	// bit-identical in simulated behavior (the differential tests prove
-	// it); polling exists only as the cross-check reference and is
-	// substantially slower.
-	PollingWakeup bool
-
 	// Sanitize enables the cycle-granular invariant sanitizer (package
 	// internal/simsan): every structural contract of the machine is
 	// re-validated each simulated cycle and the first violation is
@@ -394,7 +387,6 @@ func newCore(cfg Config) (*pipeline.Core, error) {
 	if cfg.MSHRs > 0 {
 		pcfg.MSHRs = cfg.MSHRs
 	}
-	pcfg.PollingWakeup = cfg.PollingWakeup
 	pcfg.Sanitize = cfg.Sanitize
 	if cfg.MemoryLatency > 0 {
 		h := cache.DefaultHierarchy()
