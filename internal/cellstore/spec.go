@@ -56,10 +56,20 @@ type Spec struct {
 // copied non-nil. Two specs that simulate identically canonicalize
 // identically, so they share a hash.
 func (s Spec) Canonical() Spec {
+	s = s.aliasFree()
+	s.Benchmarks = append([]string{}, s.Benchmarks...)
+	return s
+}
+
+// aliasFree is Canonical without the copy of the benchmark list: it
+// encodes to the same JSON, so Key, which only reads the list, hashes it.
+func (s Spec) aliasFree() Spec {
 	if s.FetchGate == "none" {
 		s.FetchGate = ""
 	}
-	s.Benchmarks = append([]string{}, s.Benchmarks...)
+	if s.Benchmarks == nil {
+		s.Benchmarks = []string{} // encodes as [], not null
+	}
 	return s
 }
 
@@ -105,18 +115,22 @@ func (s Spec) Config() (smtsim.Config, error) {
 	}, nil
 }
 
+// keyPrefix is the versioned domain prefix of every hash preimage.
+var keyPrefix = fmt.Sprintf("smtsim-cell-v%d\n", SchemaVersion)
+
 // Key returns the cell's content hash: the hex SHA-256 of a versioned
 // preimage over the canonicalized spec's JSON encoding. The hash is the
 // cell's identity everywhere — store shards, HTTP routes.
 func (s Spec) Key() string {
-	b, err := json.Marshal(s.Canonical())
+	b, err := json.Marshal(s.aliasFree())
 	if err != nil {
 		// A Spec is plain data; Marshal cannot fail on one. Keep the
 		// invariant loud rather than returning a colliding key.
 		panic(fmt.Sprintf("cellstore: marshal spec: %v", err))
 	}
-	h := sha256.New()
-	fmt.Fprintf(h, "smtsim-cell-v%d\n", SchemaVersion)
-	h.Write(b)
-	return hex.EncodeToString(h.Sum(nil))
+	var pre [256]byte
+	sum := sha256.Sum256(append(append(pre[:0], keyPrefix...), b...))
+	var h [2 * sha256.Size]byte
+	hex.Encode(h[:], sum[:])
+	return string(h[:])
 }

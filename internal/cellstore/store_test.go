@@ -54,6 +54,22 @@ func TestKeyCanonicalization(t *testing.T) {
 	}
 }
 
+// TestKeyAllocs bounds Key's allocations: the spec boxed for Marshal,
+// Marshal's result and the returned string. The sweep service hashes
+// every submitted cell, warm or not.
+func TestKeyAllocs(t *testing.T) {
+	s := testSpec("equake", 64)
+	s.Benchmarks = append(s.Benchmarks, "twolf", "gcc")
+	if n := testing.AllocsPerRun(100, func() { _ = s.Key() }); n > 3 && !raceEnabled {
+		t.Errorf("Key allocates %v times per call, want at most 3", n)
+	}
+	// The nil benchmark list hashes as its canonical empty list.
+	var empty Spec
+	if got, want := empty.Key(), (Spec{Benchmarks: []string{}}).Key(); got != want {
+		t.Errorf("nil benchmarks hash to %s, empty to %s", got, want)
+	}
+}
+
 func TestStoreRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)

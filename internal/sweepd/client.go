@@ -1,8 +1,8 @@
 package sweepd
 
 import (
+	"bufio"
 	"bytes"
-	"encoding/gob"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -38,56 +38,50 @@ func (c *Client) url(path string) string {
 	return strings.TrimRight(c.Base, "/") + path
 }
 
-// RunCells submits the cells as one sweep and streams outcomes until
-// every cell has landed, returning results in spec order.
+// RunCells submits the cells as one sweep and reads its result stream
+// from the same exchange until every cell has landed, returning results
+// in spec order.
 func (c *Client) RunCells(specs []cellstore.Spec) ([]smtsim.Result, error) {
 	body, err := json.Marshal(submitRequest{Cells: specs})
 	if err != nil {
 		return nil, fmt.Errorf("sweepd client: %w", err)
 	}
-	resp, err := c.client().Post(c.url("/v1/sweep"), "application/json", bytes.NewReader(body))
+	req, err := http.NewRequest(http.MethodPost, c.url("/v1/sweep"), bytes.NewReader(body))
 	if err != nil {
 		return nil, fmt.Errorf("sweepd client: %w", err)
 	}
-	// Only the id: the response's per-cell hashes would be decoded
-	// just to be dropped.
-	var sub struct {
-		ID string `json:"id"`
-	}
-	if err := decodeJSON(resp, &sub); err != nil {
-		return nil, err
-	}
-
-	stream, err := c.client().Get(c.url("/v1/sweeps/" + sub.ID + "/stream"))
+	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set("Accept", frameType)
+	resp, err := c.client().Do(req)
 	if err != nil {
 		return nil, fmt.Errorf("sweepd client: %w", err)
 	}
-	defer stream.Body.Close()
-	if stream.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("sweepd client: stream: %s", stream.Status)
+	if resp.StatusCode/100 != 2 {
+		return nil, decodeJSON(resp, nil)
 	}
-	if ct := stream.Header.Get("Content-Type"); ct != gobType {
-		return nil, fmt.Errorf("sweepd client: stream Content-Type %q, want %q: the server speaks another version of the sweepd protocol", ct, gobType)
+	defer resp.Body.Close()
+	if ct := resp.Header.Get("Content-Type"); ct != frameType {
+		return nil, fmt.Errorf("sweepd client: stream Content-Type %q, want %q: the server speaks another version of the sweepd protocol", ct, frameType)
 	}
 
 	results := make([]smtsim.Result, len(specs))
 	seen := make([]bool, len(specs))
 	landed := 0
 	done := false
-	// The bound allows 1 MiB per cell plus the terminal message.
-	dec := gob.NewDecoder(io.LimitReader(stream.Body, int64(len(specs)+1)<<20))
-	for {
-		// A fresh value per message: gob leaves the fields a message
-		// omits (its zero values) untouched in the destination.
-		var line cellLine
-		if err := dec.Decode(&line); errors.Is(err, io.EOF) {
+	// The bound allows 1 MiB per cell plus the terminal frame.
+	r := bufio.NewReader(io.LimitReader(resp.Body, int64(len(specs)+1)<<20))
+	var buf []byte
+	for !done {
+		line, b, err := readFrame(r, buf)
+		buf = b
+		if errors.Is(err, io.EOF) {
 			break
 		} else if err != nil {
 			return nil, fmt.Errorf("sweepd client: reading stream: %w", err)
 		}
 		if line.Done {
 			done = true
-			break
+			continue
 		}
 		if line.Index < 0 || line.Index >= len(specs) {
 			return nil, fmt.Errorf("sweepd client: stream index %d out of range", line.Index)
@@ -109,6 +103,11 @@ func (c *Client) RunCells(specs []cellstore.Spec) ([]smtsim.Result, error) {
 	}
 	if !done || landed != len(specs) {
 		return nil, fmt.Errorf("sweepd client: stream ended with %d/%d cells (done=%v)", landed, len(specs), done)
+	}
+	// Read to the end of the body, or the transport cannot reuse the
+	// connection for the next batch.
+	if n, err := io.Copy(io.Discard, r); err != nil || n > 0 {
+		return nil, fmt.Errorf("sweepd client: %d bytes after the terminal frame (%v)", n, err)
 	}
 	return results, nil
 }

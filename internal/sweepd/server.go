@@ -9,20 +9,19 @@
 //
 //	POST /v1/sweep              submit a cell set, returns a sweep id
 //	GET  /v1/sweeps/{id}        sweep status + results so far
-//	GET  /v1/sweeps/{id}/stream gob: one cellLine per cell as it lands
+//	GET  /v1/sweeps/{id}/stream frames: one per cell as it lands
 //	GET  /v1/cells/{hash}       one cell's cached result
 //	GET  /v1/stats              hit/miss/inflight/simulation counters
 //
-// The stream is a single encoding/gob stream of cellLine values,
-// Content-Type application/x-gob, ending with a cellLine whose Done is
-// set. Only Client decodes it, and only from a server it chose to
-// call: gob is not hardened against adversarial input, so the server
-// itself never decodes gob. The server keeps the newest
-// retainedSweeps finished sweeps; an older id answers 404.
+// The stream is a sequence of binary frames (frame.go), Content-Type
+// application/x-sweepd-frames, ending with a done frame. A POST whose
+// Accept header names that type is answered with the sweep's stream
+// instead of its id, so a client runs a batch in one exchange. Only
+// Client decodes the stream; the server never does. The server keeps
+// the newest retainedSweeps finished sweeps; an older id answers 404.
 package sweepd
 
 import (
-	"encoding/gob"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -32,6 +31,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 
 	"smtsim"
@@ -91,9 +91,6 @@ const retainedSweeps = 64
 // maxSubmitBytes bounds a POST /v1/sweep body.
 const maxSubmitBytes = 64 << 20
 
-// gobType is the stream's Content-Type.
-const gobType = "application/x-gob"
-
 // sweepRun tracks one submitted cell set. id, hashes and specs are
 // immutable once the run is published in Server.sweeps; the mutable
 // completion state below mu is its own lock domain (workers complete
@@ -112,9 +109,9 @@ type sweepRun struct {
 	landed []int
 	//smt:guarded-by(mu)
 	remaining int
-	// landedCh is closed, and replaced, whenever a cell lands: streams
+	// landedCh is closed, and replaced, whenever cells land: streams
 	// wait on it instead of polling.
-	//smt:close-owner(sweepRun.complete)
+	//smt:close-owner(sweepRun.wakeLocked)
 	landedCh chan struct{} //smt:guarded-by(mu)
 }
 
@@ -122,13 +119,43 @@ type sweepRun struct {
 func (r *sweepRun) complete(idx int, out outcome) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.outcomes[idx] != nil {
+	if r.landLocked(idx, &out) {
+		r.wakeLocked()
+	}
+}
+
+// completeHits records store hits: cell idx lands with outs[idx], for
+// each idx in hits. It takes mu once and wakes streams once.
+func (r *sweepRun) completeHits(hits []int, outs []outcome) {
+	if len(hits) == 0 {
 		return
 	}
-	o := out
-	r.outcomes[idx] = &o
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, idx := range hits {
+		r.landLocked(idx, &outs[idx])
+	}
+	r.wakeLocked()
+}
+
+// landLocked records cell idx's outcome unless the cell has landed
+// already, and reports whether it did.
+//
+//smt:locked(mu)
+func (r *sweepRun) landLocked(idx int, o *outcome) bool {
+	if r.outcomes[idx] != nil {
+		return false
+	}
+	r.outcomes[idx] = o
 	r.landed = append(r.landed, idx)
 	r.remaining--
+	return true
+}
+
+// wakeLocked wakes every stream waiting for cells to land.
+//
+//smt:locked(mu)
+func (r *sweepRun) wakeLocked() {
 	close(r.landedCh)
 	r.landedCh = make(chan struct{})
 }
@@ -416,6 +443,20 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		landedCh:  make(chan struct{}),
 	}
 
+	// Land the store hits before the run is published, all at once;
+	// outs[i] holds cell i's outcome if it is a hit.
+	outs := make([]outcome, len(req.Cells))
+	var hits, misses []int
+	for i, hash := range hashes {
+		if res, ok, err := s.store.Get(hash); err == nil && ok {
+			outs[i].Result = res
+			hits = append(hits, i)
+		} else {
+			misses = append(misses, i)
+		}
+	}
+	run.completeHits(hits, outs)
+
 	s.mu.Lock()
 	s.evictLocked()
 	s.nextSweep++
@@ -423,28 +464,34 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.sweeps[run.id] = run
 	s.order = append(s.order, run)
 	s.stats.Sweeps++
+	s.stats.CacheHits += int64(len(hits))
+	s.stats.Misses += int64(len(misses))
 	s.mu.Unlock()
 
-	cached := 0
-	for i, spec := range req.Cells {
-		hash := hashes[i]
-		if res, ok, err := s.store.Get(hash); err == nil && ok {
-			run.complete(i, outcome{Result: res})
-			cached++
-			s.mu.Lock()
-			s.stats.CacheHits++
-			s.mu.Unlock()
-			continue
-		}
-		s.mu.Lock()
-		s.stats.Misses++
-		s.mu.Unlock()
-		s.enqueue(spec, &waiter{run: run, idx: i})
+	for _, i := range misses {
+		s.enqueue(req.Cells[i], &waiter{run: run, idx: i})
 	}
-	s.cfg.Logf("sweepd: sweep %s: %d cells, %d cached", run.id, len(req.Cells), cached)
+	s.cfg.Logf("sweepd: sweep %s: %d cells, %d cached", run.id, len(req.Cells), len(hits))
+	if accepts(r, frameType) {
+		writeStream(w, r, run)
+		return
+	}
 	writeJSON(w, http.StatusOK, submitResponse{
-		ID: run.id, Total: len(req.Cells), Cached: cached, Hashes: run.hashes,
+		ID: run.id, Total: len(req.Cells), Cached: len(hits), Hashes: run.hashes,
 	})
+}
+
+// accepts reports whether r's Accept header names the media type mt.
+func accepts(r *http.Request, mt string) bool {
+	for _, v := range r.Header.Values("Accept") {
+		for _, part := range strings.Split(v, ",") {
+			t, _, _ := strings.Cut(part, ";")
+			if strings.TrimSpace(t) == mt {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // evictLocked drops the oldest finished sweeps so that, counting the
@@ -530,40 +577,41 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, st)
 }
 
-// handleStream writes one gob stream: a cellLine per cell in
-// completion order as cells land, then a terminal cellLine with Done
-// set. Partial aggregation is the point — a figure renderer can draw
-// cells as they arrive.
+// handleStream writes the sweep's result stream (see writeStream).
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	run := s.lookupSweep(r.PathValue("id"))
 	if run == nil {
 		httpError(w, http.StatusNotFound, "unknown sweep %q", r.PathValue("id"))
 		return
 	}
-	w.Header().Set("Content-Type", gobType)
+	writeStream(w, r, run)
+}
+
+// writeStream writes one frame per cell in completion order as cells
+// land, then a done frame. Partial aggregation is the point — a figure
+// renderer can draw cells as they arrive.
+func writeStream(w http.ResponseWriter, r *http.Request, run *sweepRun) {
+	w.Header().Set("Content-Type", frameType)
 	flusher, _ := w.(http.Flusher)
-	enc := gob.NewEncoder(w)
+	var buf []byte
 	sent := 0
 	for {
 		run.mu.Lock()
-		newly := run.landed[sent:]
-		lines := make([]cellLine, len(newly))
-		for i, idx := range newly {
-			lines[i] = lineFor(idx, run.hashes[idx], run.outcomes[idx])
+		for _, idx := range run.landed[sent:] {
+			buf = appendFrame(buf, lineFor(idx, run.hashes[idx], run.outcomes[idx]))
 		}
+		sent = len(run.landed)
 		complete := run.remaining == 0
 		landed := run.landedCh
 		run.mu.Unlock()
-		sent += len(lines)
-		for i := range lines {
-			if err := enc.Encode(&lines[i]); err != nil {
-				return
-			}
-		}
 		if complete {
 			// Every cell had landed at the snapshot, so all are sent.
-			enc.Encode(cellLine{Done: true, Total: len(run.hashes)})
+			buf = appendFrame(buf, cellLine{Done: true, Total: len(run.hashes)})
 		}
+		if _, err := w.Write(buf); err != nil {
+			return
+		}
+		buf = buf[:0]
 		if flusher != nil {
 			flusher.Flush()
 		}

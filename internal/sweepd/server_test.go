@@ -1,8 +1,8 @@
 package sweepd
 
 import (
+	"bufio"
 	"encoding/binary"
-	"encoding/gob"
 	"encoding/hex"
 	"encoding/json"
 	"math/rand"
@@ -128,7 +128,7 @@ func TestSweepEndToEnd(t *testing.T) {
 	}
 }
 
-// TestStreamMatchesFinal asserts the streamed gob aggregation and
+// TestStreamMatchesFinal asserts the streamed aggregation and
 // the final sweep GET describe exactly the same outcomes — partial
 // rendering can never drift from the completed figure.
 func TestStreamMatchesFinal(t *testing.T) {
@@ -148,13 +148,14 @@ func TestStreamMatchesFinal(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer stream.Body.Close()
-	if ct := stream.Header.Get("Content-Type"); ct != gobType {
-		t.Fatalf("stream Content-Type %q, want %q", ct, gobType)
+	if ct := stream.Header.Get("Content-Type"); ct != frameType {
+		t.Fatalf("stream Content-Type %q, want %q", ct, frameType)
 	}
-	dec := gob.NewDecoder(stream.Body)
+	body := bufio.NewReader(stream.Body)
+	var buf []byte
 	for {
-		var line cellLine
-		if err := dec.Decode(&line); err != nil {
+		line, b, err := readFrame(body, buf)
+		if buf = b; err != nil {
 			t.Fatalf("stream ended without a done message: %v", err)
 		}
 		if line.Done {

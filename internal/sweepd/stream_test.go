@@ -1,14 +1,17 @@
 package sweepd
 
 import (
+	"bufio"
 	"bytes"
-	"encoding/gob"
 	"encoding/json"
 	"io"
+	"math"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -35,12 +38,20 @@ func submitSweep(t testing.TB, client *Client, specs []cellstore.Spec) string {
 }
 
 // recordStream runs specs through a fresh server and returns the raw
-// bytes of the sweep's result stream.
+// bytes of the result stream that answers the client's submit.
 func recordStream(t testing.TB, specs []cellstore.Spec) []byte {
 	t.Helper()
 	_, client, _ := newTestServer(t, nil)
-	id := submitSweep(t, client, specs)
-	resp, err := http.Get(client.url("/v1/sweeps/" + id + "/stream"))
+	body, err := json.Marshal(submitRequest{Cells: specs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, err := http.NewRequest(http.MethodPost, client.url("/v1/sweep"), bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Accept", frameType)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,8 +63,8 @@ func recordStream(t testing.TB, specs []cellstore.Spec) []byte {
 	return raw
 }
 
-// fakeDaemon answers a submit with a fixed sweep id and the stream with
-// canned bytes, so a Client can be fed any stream without a server.
+// fakeDaemon answers a submit with canned bytes, so a Client can be fed
+// any stream without a server.
 type fakeDaemon struct {
 	stream      []byte
 	contentType string
@@ -63,15 +74,11 @@ func (d fakeDaemon) RoundTrip(req *http.Request) (*http.Response, error) {
 	if req.Body != nil {
 		req.Body.Close()
 	}
-	body, ct := `{"id":"s1"}`, "application/json"
-	if req.Method == http.MethodGet {
-		body, ct = string(d.stream), d.contentType
-	}
 	return &http.Response{
 		StatusCode: http.StatusOK,
 		Status:     "200 OK",
-		Header:     http.Header{"Content-Type": {ct}},
-		Body:       io.NopCloser(strings.NewReader(body)),
+		Header:     http.Header{"Content-Type": {d.contentType}},
+		Body:       io.NopCloser(bytes.NewReader(d.stream)),
 		Request:    req,
 	}, nil
 }
@@ -84,29 +91,87 @@ func runFromStream(specs []cellstore.Spec, stream []byte, contentType string) ([
 	return c.RunCells(specs)
 }
 
-// nonZeroResult sets every numeric field of a Result, found by
-// reflection so that a new field is covered too.
+// nonZeroResult sets every field of a Result and of its two
+// ThreadResults, found by reflection so that a new field is covered too.
 func nonZeroResult() smtsim.Result {
 	var r smtsim.Result
-	v := reflect.ValueOf(&r).Elem()
-	for i := 0; i < v.NumField(); i++ {
-		switch f := v.Field(i); f.Kind() {
-		case reflect.Int, reflect.Int64:
-			f.SetInt(int64(i + 1))
-		case reflect.Uint64:
-			f.SetUint(uint64(i + 1))
-		case reflect.Float64:
-			f.SetFloat(float64(i) + 0.25)
-		}
+	r.Threads = make([]smtsim.ThreadResult, 2)
+	setFields(reflect.ValueOf(&r).Elem(), 1)
+	for i := range r.Threads {
+		setFields(reflect.ValueOf(&r.Threads[i]).Elem(), 100*(i+1))
 	}
-	r.Threads = []smtsim.ThreadResult{{Benchmark: "equake", Committed: 7, IPC: 1.5, MispredictRate: 0.125}}
 	return r
 }
 
+func setFields(v reflect.Value, base int) {
+	for i := 0; i < v.NumField(); i++ {
+		switch f := v.Field(i); f.Kind() {
+		case reflect.Int, reflect.Int64:
+			f.SetInt(int64(base + i))
+		case reflect.Uint64:
+			f.SetUint(uint64(base + i))
+		case reflect.Float64:
+			f.SetFloat(float64(base+i) + 0.25)
+		case reflect.String:
+			f.SetString(strings.Repeat("x", base+i))
+		case reflect.Slice:
+		default:
+			panic("setFields: no case for field kind " + f.Kind().String())
+		}
+	}
+}
+
+// TestFrameRoundTrip encodes every frame kind and decodes it back,
+// including a result with every field set and one with negative
+// integers, -0.0, NaN and infinities, which it compares bit for bit
+// (DeepEqual holds -0.0 equal to 0.0 and NaN unequal to itself).
+func TestFrameRoundTrip(t *testing.T) {
+	hash := testSpecs(1)[0].Key()
+	full := nonZeroResult()
+	odd := smtsim.Result{
+		Cycles: -5, Comparators: -7, IPC: math.Copysign(0, -1),
+		IQResidency: math.NaN(), L2MissRate: math.Inf(-1), SchedulerEDP: math.Inf(1),
+		Threads: []smtsim.ThreadResult{{MispredictRate: math.Copysign(0, -1)}},
+	}
+	lines := []cellLine{
+		{Index: 3, Hash: hash, Result: &full},
+		{Index: 1 << 20, Hash: hash, Result: &odd},
+		{Index: 0, Hash: hash, Result: &smtsim.Result{}},
+		{Index: 2, Hash: hash, Error: "simulating: deadlock"},
+		{Done: true, Total: 2006},
+	}
+	var stream []byte
+	for _, l := range lines {
+		stream = appendFrame(stream, l)
+	}
+	bits := func(r *smtsim.Result) []uint64 {
+		return []uint64{uint64(r.Cycles), uint64(r.Comparators), math.Float64bits(r.IPC),
+			math.Float64bits(r.IQResidency), math.Float64bits(r.L2MissRate),
+			math.Float64bits(r.SchedulerEDP), math.Float64bits(r.Threads[0].MispredictRate)}
+	}
+	r := bytes.NewReader(stream)
+	var buf []byte
+	for i, want := range lines {
+		got, b, err := readFrame(r, buf)
+		if buf = b; err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		if want.Result == &odd {
+			if g, w := bits(got.Result), bits(&odd); got.Index != want.Index || !reflect.DeepEqual(g, w) {
+				t.Errorf("frame %d: index %d, bits %x; want %d, %x", i, got.Index, g, want.Index, w)
+			}
+		} else if !reflect.DeepEqual(got, want) {
+			t.Errorf("frame %d: got %+v, want %+v", i, got, want)
+		}
+	}
+	if _, _, err := readFrame(r, buf); err != io.EOF {
+		t.Errorf("after the last frame: err = %v, want io.EOF", err)
+	}
+}
+
 // TestStreamZeroFields streams a result whose fields are mostly zero
-// right after one whose fields are all set. gob omits zero fields from
-// a message, so a client that reused its decode target would hand back
-// the earlier cell's values for the later cell's zeros.
+// right after one whose fields are all set: the later cell must come
+// back with its own zeros, not the earlier cell's values.
 func TestStreamZeroFields(t *testing.T) {
 	specs := testSpecs(2)
 	want := map[string]smtsim.Result{
@@ -129,49 +194,79 @@ func TestStreamZeroFields(t *testing.T) {
 }
 
 // TestClientRejectsBrokenStream feeds the client a recorded three-cell
-// stream cut at every byte offset, and with each byte flipped in turn.
-// Every cut stream is an error. A flipped byte may land in a value and
-// decode to a different number, which no wire format without a checksum
-// can notice, so a flipped stream must be an error or a complete result
-// set; it must never panic or return with a cell missing.
+// stream cut at every byte offset, and with each byte in turn flipped
+// whole and bit by bit. Every cut stream is an error. Every flipped
+// stream is an error or exactly the original cell set: each frame
+// carries a CRC-32C, so a flip inside a value cannot decode to another
+// number.
 func TestClientRejectsBrokenStream(t *testing.T) {
 	specs := testSpecs(3)
+	want := make([]smtsim.Result, len(specs))
+	for i, s := range specs {
+		want[i], _ = fakeSimulate(s)
+	}
 	rec := recordStream(t, specs)
-	got, err := runFromStream(specs, rec, gobType)
+	got, err := runFromStream(specs, rec, frameType)
 	if err != nil {
 		t.Fatalf("intact stream: %v", err)
 	}
-	for i, s := range specs {
-		if want, _ := fakeSimulate(s); !reflect.DeepEqual(got[i], want) {
-			t.Fatalf("intact stream, cell %d: got %+v, want %+v", i, got[i], want)
-		}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("intact stream: got %+v, want %+v", got, want)
 	}
 
 	for cut := 0; cut < len(rec); cut++ {
-		if _, err := runFromStream(specs, rec[:cut], gobType); err == nil {
+		if _, err := runFromStream(specs, rec[:cut], frameType); err == nil {
 			t.Fatalf("stream cut at byte %d/%d decoded without error", cut, len(rec))
 		}
 	}
 	flipped := make([]byte, len(rec))
 	for i := range rec {
-		copy(flipped, rec)
-		flipped[i] ^= 0xff
-		res, err := runFromStream(specs, flipped, gobType)
-		if err != nil {
-			continue
-		}
-		for j, r := range res {
-			if reflect.DeepEqual(r, smtsim.Result{}) {
-				t.Fatalf("byte %d flipped: cell %d missing from a successful result set", i, j)
+		for _, mask := range []byte{0xff, 1, 2, 4, 8, 16, 32, 64, 128} {
+			copy(flipped, rec)
+			flipped[i] ^= mask
+			res, err := runFromStream(specs, flipped, frameType)
+			if err == nil && !reflect.DeepEqual(res, want) {
+				t.Fatalf("byte %d flipped by %#02x: another cell set without an error", i, mask)
 			}
 		}
 	}
+	if _, err := runFromStream(specs, append(rec[:len(rec):len(rec)], 0), frameType); err == nil {
+		t.Error("a byte after the terminal frame decoded without error")
+	}
 
-	// An NDJSON stream from a daemon that predates the gob stream is a
-	// clear error, not a gob decode failure.
-	if _, err := runFromStream(specs, []byte(`{"index":0}`+"\n"), "application/x-ndjson"); err == nil ||
+	// A daemon that predates the frame stream answers the submit with
+	// its JSON summary: a clear version-skew error, not a decode failure.
+	if _, err := runFromStream(specs, []byte(`{"id":"s1"}`+"\n"), "application/json"); err == nil ||
 		!strings.Contains(err.Error(), "Content-Type") {
 		t.Errorf("wrong Content-Type: err = %v", err)
+	}
+}
+
+// TestClientReusesConnection runs many batches, cold and warm, through
+// one Client: every one must travel over the first TCP connection. A
+// client that stopped reading at the terminal frame would leave the
+// body unread, and the transport would dial anew for each batch.
+func TestClientReusesConnection(t *testing.T) {
+	srv, _, _ := newTestServer(t, nil)
+	var dials atomic.Int64
+	ts := httptest.NewUnstartedServer(srv.Handler())
+	ts.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		if st == http.StateNew {
+			dials.Add(1)
+		}
+	}
+	ts.Start()
+	t.Cleanup(ts.Close)
+	client := &Client{Base: ts.URL, HTTP: ts.Client()}
+	specs := testSpecs(30)
+	for i := 0; i < 20; i++ {
+		batch := specs[i%3*10 : i%3*10+10]
+		if _, err := client.RunCells(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := dials.Load(); n != 1 {
+		t.Errorf("20 batches opened %d connections, want 1", n)
 	}
 }
 
@@ -227,9 +322,9 @@ func TestSweepRetention(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer stream.Body.Close()
-	dec := gob.NewDecoder(stream.Body)
-	var line cellLine
-	if err := dec.Decode(&line); err != nil || line.Done {
+	body := bufio.NewReader(stream.Body)
+	line, buf, err := readFrame(body, nil)
+	if err != nil || line.Done {
 		t.Fatalf("first stream message: %+v, %v", line, err)
 	}
 	seen := map[int]bool{line.Index: true}
@@ -261,8 +356,8 @@ func TestSweepRetention(t *testing.T) {
 	}
 
 	for {
-		var line cellLine
-		if err := dec.Decode(&line); err != nil {
+		line, b, err := readFrame(body, buf)
+		if buf = b; err != nil {
 			t.Fatalf("stream of evicted sweep broke off: %v", err)
 		}
 		if line.Done {
@@ -355,7 +450,7 @@ func FuzzClientStream(f *testing.F) {
 	f.Add(rec[:len(rec)/2])
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, stream []byte) {
-		res, err := runFromStream(specs, stream, gobType)
+		res, err := runFromStream(specs, stream, frameType)
 		if err == nil && len(res) != len(specs) {
 			t.Fatalf("%d results for %d cells without an error", len(res), len(specs))
 		}
