@@ -3,10 +3,8 @@ package pipeline
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"errors"
 	"flag"
 	"fmt"
-	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -91,17 +89,13 @@ type fuzzDigestCase struct {
 }
 
 // fuzzDigestCases lists FuzzPipeline's f.Add seeds followed by its
-// corpus files in name order. The corpus directory exists only while it
-// holds a file that is not also an f.Add seed.
+// corpus files in name order.
 func fuzzDigestCases() ([]fuzzDigestCase, error) {
 	var cases []fuzzDigestCase
 	for i, in := range fuzzSeeds {
 		cases = append(cases, fuzzDigestCase{name: fmt.Sprintf("seed#%d", i), in: in})
 	}
 	ents, err := os.ReadDir(fuzzCorpusDir)
-	if errors.Is(err, fs.ErrNotExist) {
-		return cases, nil
-	}
 	if err != nil {
 		return nil, err
 	}
