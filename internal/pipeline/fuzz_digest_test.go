@@ -35,10 +35,8 @@ func TestFuzzCommitDigestsGolden(t *testing.T) {
 	}
 	var got []string
 	for _, c := range cases {
-		cfg, profiles, commits := c.in.machine()
 		for _, policy := range []icore.Policy{icore.InOrder, icore.TwoOpBlock, icore.TwoOpOOOD} {
-			cfg.Policy = policy
-			cycles, streams := runFuzzConfig(t, cfg, profiles, c.in.seed, commits, false)
+			cycles, streams := runFuzzInput(t, c.in, policy, false, true)
 			got = append(got, fmt.Sprintf("%s %s cycles=%d sha256=%s",
 				c.name, policy, cycles, commitDigest(streams)))
 		}

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
 	icore "smtsim/internal/core"
@@ -60,6 +61,54 @@ func runFuzzConfig(t *testing.T, cfg Config, profiles []synth.Profile, seed uint
 		t.Fatalf("%s plain=%t: %v", cfg.Policy, plain, err)
 	}
 	return c.Cycle(), streams
+}
+
+// fuzzRunKey names one runFuzzInput call.
+type fuzzRunKey struct {
+	in     fuzzInput
+	policy icore.Policy
+	plain  bool
+}
+
+type fuzzRun struct {
+	cycles  int64
+	streams [][]commitRec
+}
+
+// namedFuzzRuns holds runFuzzInput's results for the named inputs
+// (FuzzPipeline's f.Add seeds and corpus files), so that
+// TestFuzzCommitDigestsGolden and FuzzPipeline's seed run simulate each
+// distinct one once. Five corpus files repeat seeds byte for byte.
+// Inputs the fuzzer generates are never stored, so memory stays flat
+// during a -fuzz run.
+var namedFuzzRuns = struct {
+	sync.Mutex
+	m map[fuzzRunKey]fuzzRun
+}{m: make(map[fuzzRunKey]fuzzRun)}
+
+// runFuzzInput runs runFuzzConfig on in's machine under policy. With
+// named set, in is a named input, and an earlier identical run is
+// reused; callers only read the returned streams.
+func runFuzzInput(t *testing.T, in fuzzInput, policy icore.Policy, plain, named bool) (int64, [][]commitRec) {
+	t.Helper()
+	key := fuzzRunKey{in, policy, plain}
+	if named {
+		namedFuzzRuns.Lock()
+		r, ok := namedFuzzRuns.m[key]
+		namedFuzzRuns.Unlock()
+		if ok {
+			return r.cycles, r.streams
+		}
+	}
+	cfg, profiles, commits := in.machine()
+	cfg.Policy = policy
+	cycles, streams := runFuzzConfig(t, cfg, profiles, in.seed, commits, plain)
+	if named {
+		namedFuzzRuns.Lock()
+		namedFuzzRuns.m[key] = fuzzRun{cycles, streams}
+		namedFuzzRuns.Unlock()
+	}
+	return cycles, streams
 }
 
 // fuzzInput is one FuzzPipeline case: the fuzzer's raw arguments, in
@@ -134,11 +183,18 @@ func FuzzPipeline(f *testing.F) {
 	for _, in := range fuzzSeeds {
 		f.Add(in.nThreads, in.mixBits, in.deadlock, in.dabCap, in.iqSize, in.wdLimit, in.seed, in.budget)
 	}
+	cases, err := fuzzDigestCases()
+	if err != nil {
+		f.Fatal(err)
+	}
+	named := make(map[fuzzInput]bool)
+	for _, c := range cases {
+		named[c.in] = true
+	}
 
 	f.Fuzz(func(t *testing.T, nThreads, mixBits, deadlock, dabCap uint8,
 		iqSize, wdLimit uint16, seed uint64, budget uint16) {
 		in := fuzzInput{nThreads, mixBits, deadlock, dabCap, iqSize, wdLimit, seed, budget}
-		cfg, profiles, commits := in.machine()
 
 		type run struct {
 			policy  icore.Policy
@@ -147,10 +203,8 @@ func FuzzPipeline(f *testing.F) {
 		}
 		var runs []run
 		for _, policy := range []icore.Policy{icore.InOrder, icore.TwoOpBlock, icore.TwoOpOOOD} {
-			cfg.Policy = policy
-
-			fastCycles, fastStreams := runFuzzConfig(t, cfg, profiles, seed, commits, false)
-			plainCycles, plainStreams := runFuzzConfig(t, cfg, profiles, seed, commits, true)
+			fastCycles, fastStreams := runFuzzInput(t, in, policy, false, named[in])
+			plainCycles, plainStreams := runFuzzInput(t, in, policy, true, named[in])
 
 			// Property 1: the fast machine matches the plain reference.
 			if fastCycles != plainCycles {

@@ -42,22 +42,25 @@ func (c *Client) url(path string) string {
 // from the same exchange until every cell has landed, returning results
 // in spec order.
 func (c *Client) RunCells(specs []cellstore.Spec) ([]smtsim.Result, error) {
-	body, err := json.Marshal(submitRequest{Cells: specs})
-	if err != nil {
-		return nil, fmt.Errorf("sweepd client: %w", err)
-	}
+	body := appendSpecs(make([]byte, 0, specBytesHint*len(specs)), specs)
 	req, err := http.NewRequest(http.MethodPost, c.url("/v1/sweep"), bytes.NewReader(body))
 	if err != nil {
 		return nil, fmt.Errorf("sweepd client: %w", err)
 	}
-	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set("Content-Type", specType)
 	req.Header.Set("Accept", frameType)
 	resp, err := c.client().Do(req)
 	if err != nil {
 		return nil, fmt.Errorf("sweepd client: %w", err)
 	}
 	if resp.StatusCode/100 != 2 {
-		return nil, decodeJSON(resp, nil)
+		err := decodeJSON(resp, nil)
+		if resp.StatusCode == http.StatusBadRequest && strings.Contains(err.Error(), errDecodingRequest) {
+			// This client never sends a body its own server cannot
+			// decode: the server reads another request format.
+			err = fmt.Errorf("%w: the server speaks another version of the sweepd protocol", err)
+		}
+		return nil, err
 	}
 	defer resp.Body.Close()
 	if ct := resp.Header.Get("Content-Type"); ct != frameType {
@@ -68,36 +71,45 @@ func (c *Client) RunCells(specs []cellstore.Spec) ([]smtsim.Result, error) {
 	seen := make([]bool, len(specs))
 	landed := 0
 	done := false
+	// A frame for a cell out of range or already landed decodes into
+	// spare, to be checked and dropped.
+	var spare *smtsim.Result
+	into := func(idx int) (*smtsim.Result, []string) {
+		if idx >= len(specs) || seen[idx] {
+			if spare == nil {
+				spare = new(smtsim.Result)
+			}
+			return spare, nil
+		}
+		return &results[idx], specs[idx].Benchmarks
+	}
 	// The bound allows 1 MiB per cell plus the terminal frame.
 	r := bufio.NewReader(io.LimitReader(resp.Body, int64(len(specs)+1)<<20))
 	var buf []byte
 	for !done {
-		line, b, err := readFrame(r, buf)
+		h, b, err := readFrame(r, buf, into)
 		buf = b
 		if errors.Is(err, io.EOF) {
 			break
 		} else if err != nil {
 			return nil, fmt.Errorf("sweepd client: reading stream: %w", err)
 		}
-		if line.Done {
+		if h.kind == frameDone {
 			done = true
 			continue
 		}
-		if line.Index < 0 || line.Index >= len(specs) {
-			return nil, fmt.Errorf("sweepd client: stream index %d out of range", line.Index)
+		if h.index >= len(specs) {
+			return nil, fmt.Errorf("sweepd client: stream index %d out of range", h.index)
 		}
-		if line.Error != "" {
-			return nil, fmt.Errorf("sweepd client: cell %d: %s", line.Index, line.Error)
+		if h.kind == frameError {
+			return nil, fmt.Errorf("sweepd client: cell %d: %s", h.index, h.err)
 		}
-		if line.Result == nil {
-			return nil, fmt.Errorf("sweepd client: cell %d landed without a result", line.Index)
-		}
-		if !seen[line.Index] {
-			seen[line.Index] = true
+		if !seen[h.index] {
+			seen[h.index] = true
 			landed++
-			results[line.Index] = *line.Result
 			if c.Progress != nil {
-				c.Progress(fmt.Sprintf("cell %d/%d (%.8s): IPC=%.3f", landed, len(specs), line.Hash, line.Result.IPC))
+				hash := h.hash // a copy, so that h stays off the heap
+				c.Progress(fmt.Sprintf("cell %d/%d (%x): IPC=%.3f", landed, len(specs), hash[:4], results[h.index].IPC))
 			}
 		}
 	}

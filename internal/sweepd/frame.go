@@ -21,11 +21,23 @@ package sweepd
 // each ThreadResult in declaration order. Adding a field to either
 // changes the format, and TestFrameRoundTrip fails until the codec
 // writes it.
+//
+// A request body of Content-Type specType carries a batch's specs in
+// the same encodings:
+//
+//	count  uvarint
+//	specs  count specs, each cellstore.Spec's fields in declaration
+//	       order: the benchmark list as a count and its strings, the
+//	       scheduler, IQ size (varint), fetch gate, memory latency
+//	       (varint), budget, warmup and seed
+//	crc    uint32   CRC-32C of count and specs
+//
+// Adding a Spec field changes the format, and TestSpecsRoundTrip fails
+// until the codec writes it.
 
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -34,6 +46,7 @@ import (
 	"sync"
 
 	"smtsim"
+	"smtsim/internal/cellstore"
 )
 
 // frameType is the stream's Content-Type, and the Accept value with
@@ -41,6 +54,10 @@ import (
 // summary. A format change needs a new value, so that a client and a
 // server of different versions fail with a clear error.
 const frameType = "application/x-sweepd-frames"
+
+// specType is the Content-Type of a binary request body. A POST with
+// any other Content-Type is decoded as JSON.
+const specType = "application/x-sweepd-specs"
 
 // Frame kinds.
 const (
@@ -140,17 +157,30 @@ func unhex(c byte) byte {
 	return c - 'a' + 10
 }
 
-// readFrame reads and decodes the next frame of r. buf is scratch
-// space for the frame's bytes; readFrame returns it, grown if needed,
-// for the next call. At a clean end of stream it returns io.EOF.
-func readFrame(r io.Reader, buf []byte) (cellLine, []byte, error) {
+// frameHead is a decoded frame without its result, which readFrame
+// decodes in place.
+type frameHead struct {
+	kind  byte
+	index int // result and error frames
+	hash  [sha256.Size]byte
+	err   string // error frames
+	total int    // done frames
+}
+
+// readFrame reads and decodes the next frame of r. A result frame's
+// result is decoded into the Result into returns for its index; names
+// lends each thread's Benchmark string when the decoded name equals
+// names[thread]. buf is scratch space for the frame's bytes; readFrame
+// returns it, grown if needed, for the next call. At a clean end of
+// stream it returns io.EOF.
+func readFrame(r io.Reader, buf []byte, into func(index int) (dst *smtsim.Result, names []string)) (frameHead, []byte, error) {
 	buf = append(buf[:0], 0, 0, 0, 0)
 	if _, err := io.ReadFull(r, buf); err != nil {
-		return cellLine{}, buf, err
+		return frameHead{}, buf, err
 	}
 	n := binary.LittleEndian.Uint32(buf)
 	if n == 0 || n > maxFrameBody {
-		return cellLine{}, buf, fmt.Errorf("%w: body of %d bytes", errFrame, n)
+		return frameHead{}, buf, fmt.Errorf("%w: body of %d bytes", errFrame, n)
 	}
 	total := 4 + int(n) + 4
 	if cap(buf) < total {
@@ -161,43 +191,123 @@ func readFrame(r io.Reader, buf []byte) (cellLine, []byte, error) {
 		if errors.Is(err, io.EOF) {
 			err = io.ErrUnexpectedEOF
 		}
-		return cellLine{}, buf, err
+		return frameHead{}, buf, err
 	}
 	body := buf[4 : 4+n]
 	if got, want := crc32.Checksum(buf[:4+n], castagnoli()), binary.LittleEndian.Uint32(buf[4+n:]); got != want {
-		return cellLine{}, buf, fmt.Errorf("%w: CRC-32C %08x, want %08x", errFrame, got, want)
+		return frameHead{}, buf, fmt.Errorf("%w: CRC-32C %08x, want %08x", errFrame, got, want)
 	}
 	d := decoder{b: body[1:]}
-	var l cellLine
-	switch body[0] {
+	h := frameHead{kind: body[0]}
+	switch h.kind {
 	case frameDone:
-		l.Done = true
-		l.Total = d.int()
+		h.total = d.int()
 	case frameError:
-		l.Index = d.int()
-		l.Hash = d.hash()
-		l.Error = d.string()
-		if l.Error == "" {
+		h.index = d.int()
+		d.hash(&h.hash)
+		if h.err = d.string(); h.err == "" {
 			d.fail()
 		}
 	case frameResult:
-		l.Index = d.int()
-		l.Hash = d.hash()
-		l.Result = d.result()
+		h.index = d.int()
+		d.hash(&h.hash)
+		if !d.err {
+			d.result(into(h.index))
+		}
 	default:
-		return cellLine{}, buf, fmt.Errorf("%w: kind %#x", errFrame, body[0])
+		return frameHead{}, buf, fmt.Errorf("%w: kind %#x", errFrame, h.kind)
 	}
 	if d.err || len(d.b) != 0 {
-		return cellLine{}, buf, fmt.Errorf("%w: kind %q", errFrame, body[0])
+		return frameHead{}, buf, fmt.Errorf("%w: kind %q", errFrame, h.kind)
 	}
-	return l, buf, nil
+	return h, buf, nil
 }
 
-// decoder reads fields from a frame body. A field that runs past the
-// body, or does not fit its type, sets err; later reads return zeros.
+// appendSpecs appends the specType body that carries specs.
+func appendSpecs(b []byte, specs []cellstore.Spec) []byte {
+	start := len(b)
+	b = binary.AppendUvarint(b, uint64(len(specs)))
+	for i := range specs {
+		s := &specs[i]
+		b = binary.AppendUvarint(b, uint64(len(s.Benchmarks)))
+		for _, name := range s.Benchmarks {
+			b = appendString(b, name)
+		}
+		b = appendString(b, s.Scheduler)
+		b = binary.AppendVarint(b, int64(s.IQSize))
+		b = appendString(b, s.FetchGate)
+		b = binary.AppendVarint(b, int64(s.MemoryLatency))
+		b = binary.AppendUvarint(b, s.Budget)
+		b = binary.AppendUvarint(b, s.Warmup)
+		b = binary.AppendUvarint(b, s.Seed)
+	}
+	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b[start:], castagnoli()))
+}
+
+// specBytesHint and frameBytesHint size encode buffers: a report cell
+// with four benchmarks takes about 60 bytes as a spec and 250 as a
+// result frame.
+const (
+	specBytesHint  = 64
+	frameBytesHint = 256
+)
+
+// minSpecBytes is the smallest encoding of a Spec: a one-byte field
+// each.
+const minSpecBytes = 8
+
+// decodeSpecs decodes a specType body. A string that repeats within
+// the body is allocated once, and the benchmark lists share one backing
+// array, each capped at its own length.
+func decodeSpecs(body []byte) ([]cellstore.Spec, error) {
+	if len(body) < 4 {
+		return nil, fmt.Errorf("spec body of %d bytes", len(body))
+	}
+	n := len(body) - 4
+	if got, want := crc32.Checksum(body[:n], castagnoli()), binary.LittleEndian.Uint32(body[n:]); got != want {
+		return nil, fmt.Errorf("spec body CRC-32C %08x, want %08x", got, want)
+	}
+	d := decoder{b: body[:n], strs: make(map[string]string)}
+	count := d.uvarint()
+	if count > uint64(len(d.b)/minSpecBytes) {
+		return nil, fmt.Errorf("spec count %d exceeds the body", count)
+	}
+	specs := make([]cellstore.Spec, count)
+	names := make([]string, 0, count) // a valid spec has a name or more
+	for i := range specs {
+		s := &specs[i]
+		k := d.uvarint()
+		if k > uint64(len(d.b)) {
+			d.fail()
+			break
+		}
+		first := len(names)
+		for j := uint64(0); j < k; j++ {
+			names = append(names, d.string())
+		}
+		s.Benchmarks = names[first:len(names):len(names)]
+		s.Scheduler = d.string()
+		s.IQSize = d.sint()
+		s.FetchGate = d.string()
+		s.MemoryLatency = d.sint()
+		s.Budget = d.uvarint()
+		s.Warmup = d.uvarint()
+		s.Seed = d.uvarint()
+	}
+	if d.err || len(d.b) != 0 {
+		return nil, errors.New("malformed spec body")
+	}
+	return specs, nil
+}
+
+// decoder reads fields from a frame or spec body. A field that runs
+// past the body, or does not fit its type, sets err; later reads return
+// zeros. With strs non-nil, string returns one string per distinct
+// value.
 type decoder struct {
-	b   []byte
-	err bool
+	b    []byte
+	err  bool
+	strs map[string]string
 }
 
 func (d *decoder) fail() {
@@ -235,6 +345,16 @@ func (d *decoder) varint() int64 {
 	return v
 }
 
+// sint reads a varint that must fit an int32.
+func (d *decoder) sint() int {
+	v := d.varint()
+	if v < math.MinInt32 || v > math.MaxInt32 {
+		d.fail()
+		return 0
+	}
+	return int(v)
+}
+
 func (d *decoder) bytes(n uint64) []byte {
 	if n > uint64(len(d.b)) {
 		d.fail()
@@ -254,25 +374,40 @@ func (d *decoder) float() float64 {
 }
 
 func (d *decoder) string() string {
-	return string(d.bytes(d.uvarint()))
+	p := d.bytes(d.uvarint())
+	if d.strs == nil {
+		return string(p)
+	}
+	if s, ok := d.strs[string(p)]; ok {
+		return s
+	}
+	s := string(p)
+	d.strs[s] = s
+	return s
 }
 
-func (d *decoder) hash() string {
-	p := d.bytes(sha256.Size)
-	if p == nil {
-		return ""
+// stringLike is string, except that it returns like itself when the
+// field equals it.
+func (d *decoder) stringLike(like string) string {
+	p := d.bytes(d.uvarint())
+	if string(p) == like {
+		return like
 	}
-	var h [2 * sha256.Size]byte
-	hex.Encode(h[:], p)
-	return string(h[:])
+	return string(p)
+}
+
+func (d *decoder) hash(h *[sha256.Size]byte) {
+	copy(h[:], d.bytes(sha256.Size))
 }
 
 // minThreadBytes is the smallest encoding of a ThreadResult: an empty
 // name, a one-byte count and two floats.
 const minThreadBytes = 1 + 1 + 8 + 8
 
-func (d *decoder) result() *smtsim.Result {
-	r := new(smtsim.Result)
+// result decodes a result into r, overwriting every field. Thread i's
+// Benchmark is names[i] when the two are equal.
+func (d *decoder) result(r *smtsim.Result, names []string) {
+	*r = smtsim.Result{}
 	r.Cycles = d.varint()
 	if c := d.varint(); c < math.MinInt32 || c > math.MaxInt32 {
 		d.fail()
@@ -292,11 +427,14 @@ func (d *decoder) result() *smtsim.Result {
 		r.Threads = make([]smtsim.ThreadResult, n)
 		for i := range r.Threads {
 			t := &r.Threads[i]
-			t.Benchmark = d.string()
+			if i < len(names) {
+				t.Benchmark = d.stringLike(names[i])
+			} else {
+				t.Benchmark = d.string()
+			}
 			t.Committed = d.uvarint()
 			t.IPC = d.float()
 			t.MispredictRate = d.float()
 		}
 	}
-	return r
 }

@@ -154,7 +154,7 @@ func TestStreamMatchesFinal(t *testing.T) {
 	body := bufio.NewReader(stream.Body)
 	var buf []byte
 	for {
-		line, b, err := readFrame(body, buf)
+		line, b, err := readLine(body, buf)
 		if buf = b; err != nil {
 			t.Fatalf("stream ended without a done message: %v", err)
 		}

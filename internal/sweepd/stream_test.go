@@ -3,7 +3,9 @@ package sweepd
 import (
 	"bufio"
 	"bytes"
+	"encoding/hex"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"net"
@@ -14,6 +16,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"smtsim"
 	"smtsim/internal/cellstore"
@@ -63,20 +66,44 @@ func recordStream(t testing.TB, specs []cellstore.Spec) []byte {
 	return raw
 }
 
+// readLine reads the next frame of r through readFrame, decoding a
+// result into a fresh Result, and returns it as a cellLine.
+func readLine(r io.Reader, buf []byte) (cellLine, []byte, error) {
+	var res *smtsim.Result
+	h, buf, err := readFrame(r, buf, func(int) (*smtsim.Result, []string) {
+		res = new(smtsim.Result)
+		return res, nil
+	})
+	if err != nil {
+		return cellLine{}, buf, err
+	}
+	switch h.kind {
+	case frameDone:
+		return cellLine{Done: true, Total: h.total}, buf, nil
+	case frameError:
+		return cellLine{Index: h.index, Hash: hex.EncodeToString(h.hash[:]), Error: h.err}, buf, nil
+	}
+	return cellLine{Index: h.index, Hash: hex.EncodeToString(h.hash[:]), Result: res}, buf, nil
+}
+
 // fakeDaemon answers a submit with canned bytes, so a Client can be fed
 // any stream without a server.
 type fakeDaemon struct {
 	stream      []byte
 	contentType string
+	status      int // 0 = 200
 }
 
 func (d fakeDaemon) RoundTrip(req *http.Request) (*http.Response, error) {
 	if req.Body != nil {
 		req.Body.Close()
 	}
+	if d.status == 0 {
+		d.status = http.StatusOK
+	}
 	return &http.Response{
-		StatusCode: http.StatusOK,
-		Status:     "200 OK",
+		StatusCode: d.status,
+		Status:     fmt.Sprintf("%d %s", d.status, http.StatusText(d.status)),
 		Header:     http.Header{"Content-Type": {d.contentType}},
 		Body:       io.NopCloser(bytes.NewReader(d.stream)),
 		Request:    req,
@@ -84,10 +111,11 @@ func (d fakeDaemon) RoundTrip(req *http.Request) (*http.Response, error) {
 }
 
 func runFromStream(specs []cellstore.Spec, stream []byte, contentType string) ([]smtsim.Result, error) {
-	c := &Client{
-		Base: "http://sweepd.invalid",
-		HTTP: &http.Client{Transport: fakeDaemon{stream: stream, contentType: contentType}},
-	}
+	return runFromDaemon(specs, fakeDaemon{stream: stream, contentType: contentType})
+}
+
+func runFromDaemon(specs []cellstore.Spec, d fakeDaemon) ([]smtsim.Result, error) {
+	c := &Client{Base: "http://sweepd.invalid", HTTP: &http.Client{Transport: d}}
 	return c.RunCells(specs)
 }
 
@@ -152,7 +180,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	r := bytes.NewReader(stream)
 	var buf []byte
 	for i, want := range lines {
-		got, b, err := readFrame(r, buf)
+		got, b, err := readLine(r, buf)
 		if buf = b; err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
@@ -164,7 +192,7 @@ func TestFrameRoundTrip(t *testing.T) {
 			t.Errorf("frame %d: got %+v, want %+v", i, got, want)
 		}
 	}
-	if _, _, err := readFrame(r, buf); err != io.EOF {
+	if _, _, err := readLine(r, buf); err != io.EOF {
 		t.Errorf("after the last frame: err = %v, want io.EOF", err)
 	}
 }
@@ -239,6 +267,83 @@ func TestClientRejectsBrokenStream(t *testing.T) {
 	if _, err := runFromStream(specs, []byte(`{"id":"s1"}`+"\n"), "application/json"); err == nil ||
 		!strings.Contains(err.Error(), "Content-Type") {
 		t.Errorf("wrong Content-Type: err = %v", err)
+	}
+	// A daemon that predates binary spec bodies tries to decode the body
+	// as JSON and answers 400: the error names the version skew too.
+	old := fakeDaemon{
+		status:      http.StatusBadRequest,
+		contentType: "application/json",
+		stream:      []byte(`{"error":"decoding request: invalid character '\\x03' looking for beginning of value"}` + "\n"),
+	}
+	if _, err := runFromDaemon(specs, old); err == nil || !strings.Contains(err.Error(), "another version") {
+		t.Errorf("400 from a JSON-only daemon: err = %v", err)
+	}
+	// A 400 for a cell the server rejects is not version skew.
+	old.stream = []byte(`{"error":"cell 0: cellstore: non-positive budget"}` + "\n")
+	if _, err := runFromDaemon(specs, old); err == nil || strings.Contains(err.Error(), "another version") {
+		t.Errorf("400 for an invalid cell: err = %v", err)
+	}
+}
+
+// TestSpecsRoundTrip encodes specs with every cellstore.Spec field set,
+// found by reflection so that a new field is covered too, and decodes
+// them back. Repeated strings decode to one string, and each decoded
+// benchmark list is capped, so appending to one cannot write into the
+// next. Every cut of the body is an error, and every flipped byte an
+// error or the original specs.
+func TestSpecsRoundTrip(t *testing.T) {
+	var specs []cellstore.Spec
+	for i := 0; i < 3; i++ {
+		var s cellstore.Spec
+		v := reflect.ValueOf(&s).Elem()
+		for j := 0; j < v.NumField(); j++ {
+			switch f := v.Field(j); f.Kind() {
+			case reflect.Int:
+				f.SetInt(int64(-1000 * (j + 1)))
+			case reflect.Uint64:
+				f.SetUint(uint64(1<<40 + j))
+			case reflect.String:
+				f.SetString(fmt.Sprintf("field%d", j))
+			case reflect.Slice:
+				f.Set(reflect.ValueOf([]string{"equake", fmt.Sprintf("bench%d", i)}))
+			default:
+				t.Fatalf("no case for Spec field kind %s", f.Kind())
+			}
+		}
+		specs = append(specs, s)
+	}
+	specs = append(specs, cellstore.Spec{Benchmarks: []string{}})
+	body := appendSpecs(nil, specs)
+	got, err := decodeSpecs(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, specs) {
+		t.Fatalf("round trip:\n got %+v\nwant %+v", got, specs)
+	}
+	if unsafe.StringData(got[0].Scheduler) != unsafe.StringData(got[1].Scheduler) ||
+		unsafe.StringData(got[0].Benchmarks[0]) != unsafe.StringData(got[2].Benchmarks[0]) {
+		t.Error("a repeated string decoded to separate copies")
+	}
+	_ = append(got[0].Benchmarks, "spill")
+	if !reflect.DeepEqual(got[1], specs[1]) {
+		t.Errorf("appending to one decoded list changed the next spec: %+v", got[1])
+	}
+
+	for cut := 0; cut < len(body); cut++ {
+		if _, err := decodeSpecs(body[:cut]); err == nil {
+			t.Fatalf("body cut at byte %d/%d decoded without error", cut, len(body))
+		}
+	}
+	flipped := make([]byte, len(body))
+	for i := range body {
+		for _, mask := range []byte{0xff, 1, 2, 4, 8, 16, 32, 64, 128} {
+			copy(flipped, body)
+			flipped[i] ^= mask
+			if res, err := decodeSpecs(flipped); err == nil && !reflect.DeepEqual(res, specs) {
+				t.Fatalf("byte %d flipped by %#02x: other specs without an error", i, mask)
+			}
+		}
 	}
 }
 
@@ -323,7 +428,7 @@ func TestSweepRetention(t *testing.T) {
 	}
 	defer stream.Body.Close()
 	body := bufio.NewReader(stream.Body)
-	line, buf, err := readFrame(body, nil)
+	line, buf, err := readLine(body, nil)
 	if err != nil || line.Done {
 		t.Fatalf("first stream message: %+v, %v", line, err)
 	}
@@ -356,7 +461,7 @@ func TestSweepRetention(t *testing.T) {
 	}
 
 	for {
-		line, b, err := readFrame(body, buf)
+		line, b, err := readLine(body, buf)
 		if buf = b; err != nil {
 			t.Fatalf("stream of evicted sweep broke off: %v", err)
 		}
@@ -370,9 +475,11 @@ func TestSweepRetention(t *testing.T) {
 	}
 }
 
-// FuzzSubmit posts arbitrary bodies: the server never panics, answers
-// 400 to anything that is not a valid cell set, and never creates a
-// sweep for one.
+// FuzzSubmit posts arbitrary bodies, as JSON or, with binary set, as
+// specType bodies: the server never panics, answers 400 to anything
+// that is not a valid cell set, and never creates a sweep for one. A
+// valid binary body gets the same hashes and results as the JSON body
+// of the same specs.
 func FuzzSubmit(f *testing.F) {
 	for _, body := range []string{
 		`{"cells":[{"benchmarks":["equake","twolf"],"scheduler":"2op-ooo-dispatch","iq_size":64,"budget":2000,"warmup":1000,"seed":2}]}`,
@@ -384,45 +491,109 @@ func FuzzSubmit(f *testing.F) {
 		`null`,
 		`{"cells":[{"benchmarks":["equake"],"scheduler":"traditional","iq_size":64,"budget":1000,"seed":"2"}]}`,
 	} {
-		f.Add([]byte(body))
+		f.Add([]byte(body), false)
 	}
+	valid := testSpecs(3)
+	valid[1].FetchGate = "none"
+	for _, specs := range [][]cellstore.Spec{
+		valid,
+		nil,
+		{{Benchmarks: []string{"equake"}, Scheduler: "quantum", IQSize: 64, Budget: 1000}},
+		{{Benchmarks: []string{"equake"}, Scheduler: "traditional", IQSize: -1, Budget: 1000}},
+	} {
+		f.Add(appendSpecs(nil, specs), true)
+	}
+	body := appendSpecs(nil, valid)
+	f.Add(body[:len(body)-1], true)
+
 	srv, _, _ := newTestServer(f, nil)
 	h := srv.Handler()
-	post := func(body io.Reader) int {
+	post := func(body io.Reader, contentType string, stream bool) *httptest.ResponseRecorder {
 		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/sweep", body))
-		return rec.Code
+		req := httptest.NewRequest(http.MethodPost, "/v1/sweep", body)
+		req.Header.Set("Content-Type", contentType)
+		if stream {
+			req.Header.Set("Accept", frameType)
+		}
+		h.ServeHTTP(rec, req)
+		return rec
 	}
 
 	// A valid cell set one byte over the limit is refused whole.
 	cell := `{"benchmarks":["equake"],"scheduler":"traditional","iq_size":64,"budget":1000},`
 	over := io.MultiReader(strings.NewReader(`{"cells":[`),
 		io.LimitReader(&repeatReader{s: cell}, maxSubmitBytes), strings.NewReader(cell[:len(cell)-1]+`]}`))
-	if code := post(over); code != http.StatusBadRequest {
+	if code := post(over, "application/json", false).Code; code != http.StatusBadRequest {
 		f.Errorf("over-limit body: status %d, want 400", code)
 	}
 
-	f.Fuzz(func(t *testing.T, body []byte) {
-		valid := true
-		var req submitRequest
-		if json.Unmarshal(body, &req) != nil || len(req.Cells) == 0 {
-			valid = false
+	f.Fuzz(func(t *testing.T, body []byte, binary bool) {
+		var cells []cellstore.Spec
+		contentType := "application/json"
+		ok := true
+		if binary {
+			contentType = specType
+			var err error
+			cells, err = decodeSpecs(body)
+			ok = err == nil
+		} else {
+			var req submitRequest
+			ok = json.Unmarshal(body, &req) == nil
+			cells = req.Cells
 		}
-		for _, c := range req.Cells {
+		if len(cells) == 0 {
+			ok = false
+		}
+		for _, c := range cells {
 			if c.Canonical().Validate() != nil {
-				valid = false
+				ok = false
 			}
 		}
 		before := srv.StatsSnapshot().Sweeps
-		code := post(bytes.NewReader(body))
+		rec := post(bytes.NewReader(body), contentType, binary)
 		created := srv.StatsSnapshot().Sweeps - before
 		switch {
-		case valid && (code != http.StatusOK || created != 1):
-			t.Fatalf("valid body %q: status %d, %d sweeps created", body, code, created)
-		case !valid && (code != http.StatusBadRequest || created != 0):
-			t.Fatalf("invalid body %q: status %d, %d sweeps created", body, code, created)
+		case ok && (rec.Code != http.StatusOK || created != 1):
+			t.Fatalf("valid body %q: status %d, %d sweeps created", body, rec.Code, created)
+		case !ok && (rec.Code != http.StatusBadRequest || created != 0):
+			t.Fatalf("invalid body %q: status %d, %d sweeps created", body, rec.Code, created)
+		case !ok || !binary:
+			return
+		}
+
+		// The same specs as JSON, where JSON carries them exactly (it
+		// cannot carry invalid UTF-8).
+		asJSON, err := json.Marshal(submitRequest{Cells: cells})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back submitRequest
+		if err := json.Unmarshal(asJSON, &back); err != nil || !reflect.DeepEqual(back.Cells, cells) {
+			return
+		}
+		want := post(bytes.NewReader(asJSON), "application/json", true)
+		if got, want := streamedCells(t, rec.Body), streamedCells(t, want.Body); !reflect.DeepEqual(got, want) {
+			t.Fatalf("binary body %q: streamed\n%+v\nJSON body streamed\n%+v", body, got, want)
 		}
 	})
+}
+
+// streamedCells reads a whole result stream and returns its cells by
+// index.
+func streamedCells(t *testing.T, r io.Reader) map[int]cellLine {
+	t.Helper()
+	cells := make(map[int]cellLine)
+	var buf []byte
+	for {
+		line, b, err := readLine(r, buf)
+		if buf = b; err != nil {
+			t.Fatalf("stream: %v", err)
+		}
+		if line.Done {
+			return cells
+		}
+		cells[line.Index] = line
+	}
 }
 
 // repeatReader yields s over and over.
